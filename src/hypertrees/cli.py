@@ -139,6 +139,8 @@ def _cmd_bij_to_tree(args) -> int:
 
 
 def _cmd_egf(args) -> int:
+    # checked before any row is printed, so invalid arguments print nothing
+    report = egf.verify_functional_equation(args.r, args.order) if args.verify else None
     series = egf.egf_rooted_trees(args.r, args.order)
     rows = []
     for i, c in enumerate(series.coeffs):
@@ -148,8 +150,7 @@ def _cmd_egf(args) -> int:
             print(f"{i}: {c.numerator}/{c.denominator} t={t_n}")
     if args.json:
         print(json.dumps(rows))
-    if args.verify:
-        report = egf.verify_functional_equation(args.r, args.order)
+    if report is not None:
         if report.ok:
             print(f"functional-equation r={args.r} order={args.order}: ok")
         else:
@@ -163,24 +164,22 @@ def _cmd_egf(args) -> int:
 
 def _cmd_shi_regions(args) -> int:
     regs = shi.regions(args.k, args.r, cap=args.cap)
+    rows = [
+        (
+            "".join("+" if s > 0 else "-" for s in reg.signs),
+            [f"{x.numerator}/{x.denominator}" for x in reg.witness],
+        )
+        for reg in (regs if args.witnesses else ())
+    ]
     if args.json:
         payload = {"k": args.k, "r": args.r, "count": len(regs)}
         if args.witnesses:
-            payload["regions"] = [
-                {
-                    "signs": "".join("+" if s > 0 else "-" for s in reg.signs),
-                    "witness": [f"{x.numerator}/{x.denominator}" for x in reg.witness],
-                }
-                for reg in regs
-            ]
+            payload["regions"] = [{"signs": signs, "witness": point} for signs, point in rows]
         print(json.dumps(payload))
         return EXIT_OK
     print(len(regs))
-    if args.witnesses:
-        for reg in regs:
-            signs = "".join("+" if s > 0 else "-" for s in reg.signs)
-            point = " ".join(f"{x.numerator}/{x.denominator}" for x in reg.witness)
-            print(f"{signs} {point}")
+    for signs, point in rows:
+        print(f"{signs} {' '.join(point)}")
     return EXIT_OK
 
 
@@ -284,7 +283,7 @@ def _check_egf(lines: list[tuple[bool, str]]) -> None:
 
 
 def _check_shi(cap: int, lines: list[tuple[bool, str]]) -> None:
-    for k, r in ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3)):
+    for k, r in ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (4, 2), (5, 1), (3, 3)):
         report = shi.verify_triangle(k, r, cap=cap)
         lines.append(
             (

@@ -3,13 +3,15 @@
 The arrangement in m coordinates consists of the hyperplanes
 x_i - x_j = c for 1 <= i < j <= m and c in {-r+1,..,r}.  Regions are the
 connected components of the complement; each is identified by a strict
-sign vector over the hyperplane list.  Counting is by branch-and-prune
-over sign vectors with exact rational feasibility via variable
-elimination, which also produces a rational witness point per region.
+sign vector over the hyperplane list.
 
-All hyperplanes involve only coordinate differences, so the count is
-unchanged by fixing the last coordinate to zero; that reduction is applied
-by default.
+Every hyperplane bounds a coordinate difference, so a region is one open
+interval of x_i - x_j per pair: (r, oo), (r-1, r), .., (-oo, -r+1).  The
+search picks an interval per pair and keeps the strict bounds picked so far
+in a difference-bound matrix (DBM) closed under shortest paths, which shows
+at once whether a new interval is consistent with them: every kept branch
+is a region.  A rational witness is read off the closed bounds with the
+last coordinate pinned to zero.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import inf
 
 from .core import ResourceCapError, ValidationError
 from .parking import count_parking
@@ -25,8 +27,8 @@ from .prufer import count_trees_for_matching
 
 DEFAULT_REGION_CAP = 500_000
 
-# a strict constraint sum(coeffs * x) + const > 0, all entries integer
-Constraint = tuple[tuple[int, ...], int]
+# d[a][b] is the tightest strict bound x_a - x_b < d[a][b] (inf: none)
+Bounds = list[list[float]]
 
 
 @dataclass(frozen=True)
@@ -47,10 +49,14 @@ class Region:
     witness: tuple[Fraction, ...]
 
 
-def build_arrangement(m: int, r: int) -> tuple[Hyperplane, ...]:
-    """All C(m,2) * 2r hyperplanes, ordered by (i, j, c)."""
+def _check_size(m: int, r: int) -> None:
     if m < 1 or r < 1:
         raise ValidationError("need m >= 1 and r >= 1")
+
+
+def build_arrangement(m: int, r: int) -> tuple[Hyperplane, ...]:
+    """All C(m,2) * 2r hyperplanes, ordered by (i, j, c)."""
+    _check_size(m, r)
     return tuple(
         Hyperplane(i, j, c)
         for i, j in combinations(range(1, m + 1), 2)
@@ -58,126 +64,72 @@ def build_arrangement(m: int, r: int) -> tuple[Hyperplane, ...]:
     )
 
 
-def _normalize(coeffs: tuple[int, ...], const: int) -> Constraint:
-    g = gcd(gcd(*coeffs, 0), const)
-    if g > 1:
-        coeffs = tuple(x // g for x in coeffs)
-        const //= g
-    return coeffs, const
+def _tighten(d: Bounds, i: int, j: int, upper: float, lower: float) -> Bounds:
+    """Closed copy of ``d`` with x_i - x_j < upper and x_j - x_i < lower added.
 
-
-def _solve_strict(constraints: list[Constraint], nvars: int) -> list[Fraction] | None:
-    """Witness point for a system of strict inequalities, or None.
-
-    Variable elimination: combining a lower bound a*x + p > 0 (a > 0) with
-    an upper bound b*x + q > 0 (b < 0) gives the strict consequence
-    (-b)*p + a*q + ... > 0 with x eliminated; the projection is exact for
-    strict systems.  Back-substitution picks interval midpoints.
+    The caller has checked consistency, so each new edge a -> b shortens
+    paths only by routing x -> a -> b -> y: O(m^2) per edge.
     """
-    levels = []
-    cur = constraints
-    for v in range(nvars - 1, -1, -1):
-        lowers, uppers, rest = [], [], []
-        for con in cur:
-            a = con[0][v]
-            (lowers if a > 0 else uppers if a < 0 else rest).append(con)
-        levels.append((v, lowers, uppers))
-        nxt = []
-        seen = set()
-        for con in rest:
-            if con not in seen:
-                seen.add(con)
-                nxt.append(con)
-        for lc, ld in lowers:
-            for uc, ud in uppers:
-                a, b = lc[v], uc[v]
-                coeffs = tuple(-b * lc[t] + a * uc[t] for t in range(nvars))
-                const = -b * ld + a * ud
-                if all(x == 0 for x in coeffs):
-                    if const <= 0:
-                        return None
-                    continue
-                con = _normalize(coeffs, const)
-                if con not in seen:
-                    seen.add(con)
-                    nxt.append(con)
-        cur = nxt
-    for coeffs, const in cur:
-        if const <= 0:
-            return None
-    point = [Fraction(0)] * nvars
-    for v, lowers, uppers in reversed(levels):
-        lo = hi = None
-        for coeffs, const in lowers + uppers:
-            rest_val = const + sum(
-                coeffs[t] * point[t] for t in range(nvars) if t != v and coeffs[t]
-            )
-            bound = Fraction(-rest_val, coeffs[v])
-            if coeffs[v] > 0:
-                lo = bound if lo is None else max(lo, bound)
-            else:
-                hi = bound if hi is None else min(hi, bound)
-        if lo is not None and hi is not None:
+    d = [row[:] for row in d]
+    for a, b, w in ((i, j, upper), (j, i, lower)):
+        if w < d[a][b]:
+            out_b = d[b][:]
+            for row, x_to_b in [(row, row[a] + w) for row in d if row[a] < inf]:
+                for y, b_to_y in enumerate(out_b):
+                    if x_to_b + b_to_y < row[y]:
+                        row[y] = x_to_b + b_to_y
+    return d
+
+
+def _witness(d: Bounds) -> tuple[Fraction, ...]:
+    """Pin x_m = 0, then place x_1, x_2, .. in turn at the midpoint of the
+    interval the closed bounds leave open given the coordinates placed so
+    far, or one step past its finite end when the other end is open."""
+    m = len(d)
+    point = [Fraction(0)] * m
+    for v in range(m - 1):
+        placed = (*range(v), m - 1)
+        lo = max(point[a] - d[a][v] for a in placed)
+        hi = min(point[a] + d[v][a] for a in placed)
+        if lo > -inf and hi < inf:
             point[v] = (lo + hi) / 2
-        elif lo is not None:
-            point[v] = lo + 1
-        elif hi is not None:
-            point[v] = hi - 1
-    return point
+        else:
+            point[v] = lo + 1 if lo > -inf else hi - 1
+    return tuple(point)
 
 
-def _hyperplane_vector(h: Hyperplane, nvars: int) -> Constraint:
-    """x_i - x_j - c in the working coordinates (coordinates past nvars are 0)."""
-    coeffs = [0] * nvars
-    if h.i <= nvars:
-        coeffs[h.i - 1] += 1
-    if h.j <= nvars:
-        coeffs[h.j - 1] -= 1
-    return tuple(coeffs), -h.c
-
-
-def regions(
-    m: int,
-    r: int,
-    cap: int = DEFAULT_REGION_CAP,
-    fix_last: bool = True,
-) -> list[Region]:
+def regions(m: int, r: int, cap: int = DEFAULT_REGION_CAP) -> list[Region]:
     """All regions of the arrangement, with witnesses, in sign-vector order.
 
-    Processes hyperplanes in their canonical order, extending each feasible
-    partial sign assignment by +1 then -1 and pruning infeasible branches.
-    ``fix_last`` pins x_m = 0; witnesses are reported in all m coordinates
-    either way.
+    Each pair i < j in turn tries its 2r+1 intervals from the top one down
+    and keeps those that meet the interval the closed bounds imply for
+    x_i - x_j.  Interval (c, c+1) gives +1 to each hyperplane constant <= c,
+    so the top-down order lists sign vectors with +1 before -1.  ``cap``
+    bounds the number of interval choices tried.
     """
-    hyperplanes = build_arrangement(m, r)
-    nvars = m - 1 if fix_last else m
-    vectors = [_hyperplane_vector(h, nvars) for h in hyperplanes]
-    partial: list[tuple[tuple[int, ...], list[Constraint]]] = [((), [])]
-    explored = 0
-    for coeffs, const in vectors:
+    _check_size(m, r)
+    blocks = {
+        c: tuple(1 if h <= c else -1 for h in range(-r + 1, r + 1))
+        for c in range(-r, r + 1)
+    }
+    start = [[0 if a == b else inf for b in range(m)] for a in range(m)]
+    partial: list[tuple[tuple[int, ...], Bounds]] = [((), start)]
+    tried = 0
+    for i, j in combinations(range(m), 2):
         nxt = []
-        for signs, cons in partial:
-            for s in (+1, -1):
-                explored += 1
-                if explored > cap:
+        for signs, d in partial:
+            for c in range(r, -r - 1, -1):
+                tried += 1
+                if tried > cap:
                     raise ResourceCapError(
-                        f"region search explored {explored} nodes, cap {cap}"
+                        f"region search tried {tried} intervals, cap {cap}"
                     )
-                con = (
-                    tuple(s * x for x in coeffs),
-                    s * const,
-                )
-                trial = cons + [con]
-                if _solve_strict(trial, nvars) is not None:
-                    nxt.append((signs + (s,), trial))
+                lo = c if c > -r else -inf
+                hi = c + 1 if c < r else inf
+                if max(lo, -d[j][i]) < min(hi, d[i][j]):
+                    nxt.append((signs + blocks[c], _tighten(d, i, j, hi, -lo)))
         partial = nxt
-    out = []
-    for signs, cons in partial:
-        point = _solve_strict(cons, nvars)
-        assert point is not None
-        full = tuple(point) + (Fraction(0),) * (m - nvars)
-        out.append(Region(signs, full))
-    return out
+    return [Region(signs, _witness(d)) for signs, d in partial]
 
 
 def count_regions(m: int, r: int, cap: int = DEFAULT_REGION_CAP) -> int:

@@ -176,7 +176,8 @@ def test_criterion_8_shi_regions():
     detail = []
     start = time.monotonic()
     for (k, r), expected in zip(
-        ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3)), (3, 16, 5, 49, 7)
+        ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (4, 2), (5, 1), (3, 3)),
+        (3, 16, 5, 49, 7, 729, 1296, 100),
     ):
         regs = regions(k, r)
         hps = build_arrangement(k, r)

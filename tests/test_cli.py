@@ -119,6 +119,12 @@ class TestEgf:
         assert lines[5] == "5: 5/8 t=75"
         assert lines[-1] == "functional-equation r=3 order=5: ok"
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_invalid_verify_prints_no_rows(self, capsys, json_flag):
+        code, out, err = run(capsys, "egf", "--r", "3", "--order", "0", "--verify", *json_flag)
+        assert code == 3 and out == ""
+        assert "invalid-input" in err
+
 
 class TestShi:
     def test_regions_count(self, capsys):

@@ -1,14 +1,15 @@
+import hashlib
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from hypertrees.cli import main
 from hypertrees.core import ResourceCapError
 from hypertrees.shi import (
     Hyperplane,
     Region,
-    _hyperplane_vector,
-    _solve_strict,
     build_arrangement,
     count_regions,
     regions,
@@ -29,23 +30,6 @@ class TestBuildArrangement:
     def test_deterministic_order(self):
         hps = build_arrangement(3, 1)
         assert hps == tuple(sorted(hps, key=lambda h: (h.i, h.j, h.c)))
-
-
-class TestSolveStrict:
-    def test_feasible_interval(self):
-        # 0 < x < 1
-        point = _solve_strict([((1,), 0), ((-1,), 1)], 1)
-        assert point is not None and 0 < point[0] < 1
-
-    def test_infeasible(self):
-        assert _solve_strict([((1,), 0), ((-1,), 0)], 1) is None
-
-    def test_two_variables(self):
-        # x > y + 1, y > 3, x < 10
-        cons = [((1, -1), -1), ((0, 1), -3), ((-1, 0), 10)]
-        point = _solve_strict(cons, 2)
-        x, y = point
-        assert x > y + 1 and y > 3 and x < 10
 
 
 class TestCountRegions:
@@ -70,12 +54,30 @@ class TestCountRegions:
         for reg in regions(m, r):
             assert witness_satisfies(reg, hps)
 
-    @pytest.mark.parametrize("m,r", [(2, 2), (3, 1)])
-    def test_reduction_consistency(self, m, r):
-        # fixing the last coordinate to zero must not change the sign-vector set
-        reduced = {reg.signs for reg in regions(m, r, fix_last=True)}
-        full = {reg.signs for reg in regions(m, r, fix_last=False)}
-        assert reduced == full
+    @pytest.mark.parametrize("m,r", [(2, 2), (3, 1), (3, 2)])
+    def test_signs_match_grid_oracle(self, m, r):
+        # each region contains an alcove of the arrangement x_i - x_j in Z,
+        # and every alcove's barycentre lies on the grid (1/m)Z^m; sampling
+        # that grid with x_m = 0 over a box wide enough for r gives the
+        # region set independently of the search
+        span = (r + 1) * (m - 1) * m
+        grid = [Fraction(t, m) for t in range(-span, span + 1)]
+        hps = build_arrangement(m, r)
+        sampled = set()
+        for head in product(grid, repeat=m - 1):
+            x = head + (Fraction(0),)
+            values = [x[h.i - 1] - x[h.j - 1] - h.c for h in hps]
+            if all(values):
+                sampled.add(tuple(1 if v > 0 else -1 for v in values))
+        assert sampled == {reg.signs for reg in regions(m, r)}
+
+    def test_large_arrangement(self):
+        # (4,3): (rm+1)^(m-1) = 13^3 regions, each with a strict witness
+        hps = build_arrangement(4, 3)
+        regs = regions(4, 3)
+        assert len({reg.signs for reg in regs}) == len(regs) == 2197
+        assert all(witness_satisfies(reg, hps) for reg in regs)
+        assert all(reg.witness[-1] == 0 for reg in regs)
 
     def test_order_independence(self):
         # the region count is a property of the arrangement, not of the
@@ -108,6 +110,19 @@ class TestVerifyTriangle:
         assert report.regions == report.parking == report.trees == value
 
 
-def test_hyperplane_vector_drops_fixed_coordinate():
-    coeffs, const = _hyperplane_vector(Hyperplane(1, 3, 2), 2)
-    assert coeffs == (1, 0) and const == -2
+# sha256 of `shi regions --witnesses` output: the sign vectors, their order
+# and the witness points are all part of the CLI output and must not drift
+GOLDEN = {
+    ("3", "2", False): "57298ed2a688d47b7f2e3acac6c0b9d937226fb73685246663fe887d4aada217",
+    ("3", "2", True): "4f36d4deed2b81e27ed9e6dcbf438f475a0a6a527017b1272888c0d54c00edc6",
+    ("3", "3", False): "5d211e62d45c32e823546f69d126f6e2d59d15188c3e8e44599eada9dfa6113d",
+    ("3", "3", True): "882be5af918d73a5f05e7cb790c617c512e988d81c12e0f3fdd3903470396e76",
+}
+
+
+@pytest.mark.parametrize("k,r,as_json", sorted(GOLDEN))
+def test_witness_output_golden(capsys, k, r, as_json):
+    argv = ["shi", "regions", "--k", k, "--r", r, "--witnesses"]
+    assert main(argv + ["--json"] * as_json) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == GOLDEN[k, r, as_json]
