@@ -112,14 +112,16 @@ class Matching:
 # text formats: "1,2,3;3,4,7;3,5,6" for trees, "1,2|3,4" for matchings
 
 
-def parse_tree(text: str, n: int, r: int) -> HyperTree:
+def _int_groups(text: str, sep: str, what: str) -> tuple[tuple[int, ...], ...]:
+    """Split ``text`` on ``sep`` into comma-separated integer groups, skipping empty parts."""
     try:
-        edges = tuple(
-            tuple(int(x) for x in part.split(",")) for part in text.split(";") if part
-        )
+        return tuple(tuple(int(x) for x in part.split(",")) for part in text.split(sep) if part)
     except ValueError as exc:
-        raise ValidationError(f"cannot parse tree {text!r}: {exc}") from None
-    return HyperTree(n, r, edges)
+        raise ValidationError(f"cannot parse {what} {text!r}: {exc}") from None
+
+
+def parse_tree(text: str, n: int, r: int) -> HyperTree:
+    return HyperTree(n, r, _int_groups(text, ";", "tree"))
 
 
 def format_tree(t: HyperTree) -> str:
@@ -127,12 +129,7 @@ def format_tree(t: HyperTree) -> str:
 
 
 def parse_matching(text: str) -> Matching:
-    try:
-        blocks = tuple(
-            tuple(int(x) for x in part.split(",")) for part in text.split("|") if part
-        )
-    except ValueError as exc:
-        raise ValidationError(f"cannot parse matching {text!r}: {exc}") from None
+    blocks = _int_groups(text, "|", "matching")
     if not blocks:
         raise ValidationError("empty matching text")
     return Matching(len(blocks[0]), blocks)

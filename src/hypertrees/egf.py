@@ -144,25 +144,17 @@ def verify_functional_equation(
 
 
 def lagrange_coefficient(r: int, k: int) -> Fraction:
-    """[y^{2k}] E(y)^{2k+1} for pair matchings, checked against its closed form.
+    """[y^{2k}] E(y)^{2k+1} for pair matchings, read off the series power.
 
     By Lagrange inversion this coefficient, divided by 2k+1, gives the
-    rooted-tree series coefficient of x^{2k+1}.  The closed form is
-    ((2k+1)/2)^k / k!; a mismatch with the series power is a defect, not an
-    input error.
+    rooted-tree series coefficient of x^{2k+1}.  Its closed form is
+    ((2k+1)/2)^k / k!; the CLI's ``egf`` verify suite compares the two.
     """
     if r != 3:
         raise ValidationError("the closed form is available only for r = 3")
     if k < 1:
         raise ValidationError("need k >= 1")
-    series = egf_matchings(2, 2 * k) ** (2 * k + 1)
-    value = series.coeffs[2 * k]
-    expected = Fraction(2 * k + 1, 2) ** k / factorial(k)
-    if value != expected:
-        raise AssertionError(
-            f"series power gives {value}, closed form gives {expected}"
-        )
-    return value
+    return (egf_matchings(2, 2 * k) ** (2 * k + 1)).coeffs[2 * k]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator, Sequence
 
-from .core import DEFAULT_CAP, ResourceCapError, ValidationError
+from .core import DEFAULT_CAP, ResourceCapError, ValidationError, _int_groups
 
 
 def _check_entries(a: Sequence[int]) -> None:
@@ -46,10 +46,11 @@ def enumerate_parking(k: int, r: int, cap: int = DEFAULT_CAP) -> Iterator[tuple[
     """All r-parking functions of length k in lexicographic order.
 
     Entries above r*(k-1) can never satisfy the sorted bound, so scanning
-    {0,..,r*(k-1)}^k is exhaustive.
+    {0,..,r*(k-1)}^k is exhaustive; for k = 0 the empty sequence is the
+    only one, as ``count_parking(0, r)`` says.
     """
-    if k < 1 or r < 1:
-        raise ValidationError("need k >= 1 and r >= 1")
+    if k < 0 or r < 1:
+        raise ValidationError("need k >= 0 and r >= 1")
     top = r * (k - 1)
     if (top + 1) ** k > cap:
         raise ResourceCapError(f"search space {(top + 1) ** k} exceeds cap {cap}")
@@ -68,10 +69,7 @@ def count_parking(k: int, r: int) -> int:
 
 
 def parse_sequence(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(",") if x)
-    except ValueError as exc:
-        raise ValidationError(f"cannot parse sequence {text!r}: {exc}") from None
+    return tuple(x for (x,) in _int_groups(text, ",", "sequence"))
 
 
 def format_sequence(a: Sequence[int]) -> str:

@@ -18,6 +18,7 @@ from .core import (
     Matching,
     MatchingMismatchError,
     ValidationError,
+    _int_groups,
     extract_matching,
     is_spanning_tree,
 )
@@ -40,11 +41,7 @@ class PruferCode:
 
 
 def parse_code(text: str, n: int) -> PruferCode:
-    try:
-        entries = tuple(int(x) for x in text.split(",") if x)
-    except ValueError as exc:
-        raise ValidationError(f"cannot parse code {text!r}: {exc}") from None
-    return PruferCode(n, entries)
+    return PruferCode(n, tuple(x for (x,) in _int_groups(text, ",", "code")))
 
 
 def format_code(c: PruferCode) -> str:

@@ -21,6 +21,8 @@ from hypertrees.core import (
     parse_matching,
     parse_tree,
 )
+from hypertrees.parking import parse_sequence
+from hypertrees.prufer import parse_code
 
 from conftest import naive_spanning_trees
 
@@ -227,6 +229,29 @@ class TestTextFormats:
             parse_tree("1,2,x", 5, 3)
         with pytest.raises(ValidationError):
             parse_matching("1,2|a,4")
+
+    def test_empty_parts_skipped(self):
+        assert parse_tree(";1,2,3;;1,4,5;", 5, 3).edges == ((1, 2, 3), (1, 4, 5))
+        assert parse_matching("|3,4||1,2|").blocks == ((1, 2), (3, 4))
+        assert parse_code(",3,,4,", 9).entries == (3, 4)
+        assert parse_sequence(",1,,0") == (1, 0)
+
+    @pytest.mark.parametrize(
+        "parse,text,what,bad",
+        [
+            (lambda text: parse_tree(text, 5, 3), "1,2,x;3,4,5", "tree", "x"),
+            (lambda text: parse_tree(text, 5, 3), "1,,2", "tree", ""),
+            (parse_matching, "1,2|a,4", "matching", "a"),
+            (lambda text: parse_code(text, 9), "3;4", "code", "3;4"),
+            (parse_sequence, "1, 2,x", "sequence", "x"),
+        ],
+    )
+    def test_error_messages(self, parse, text, what, bad):
+        with pytest.raises(ValidationError) as info:
+            parse(text)
+        assert str(info.value) == (
+            f"cannot parse {what} {text!r}: invalid literal for int() with base 10: {bad!r}"
+        )
 
 
 class TestMatchingType:

@@ -85,13 +85,20 @@ class TestEnumerateParking:
     def test_length_one(self):
         assert list(enumerate_parking(1, 4)) == [(0,)]
 
-    @pytest.mark.parametrize("k,r", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (4, 2)])
+    @pytest.mark.parametrize(
+        "k,r", [(0, 1), (0, 2), (1, 1), (2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (4, 2)]
+    )
     def test_count_matches_formula(self, k, r):
         assert sum(1 for _ in enumerate_parking(k, r)) == count_parking(k, r)
 
     def test_cap_refusal(self):
         with pytest.raises(ResourceCapError):
             list(enumerate_parking(8, 3, cap=100))
+
+    @pytest.mark.parametrize("k,r", [(-1, 1), (2, 0)])
+    def test_out_of_domain_rejected(self, k, r):
+        with pytest.raises(ValidationError):
+            list(enumerate_parking(k, r))
 
 
 class TestCountParking:
