@@ -183,6 +183,16 @@ class TestVerifyStreaming:
         assert "FAIL egf-lagrange k=1 value=0" in out.splitlines()
         assert out.endswith("total=15 failures=4\n")
 
+    def test_counts_stop_where_the_cap_refuses(self, capsys):
+        # r=3, n=11 searches C(165,5) > core.DEFAULT_CAP edge sets, so the r=3
+        # rows end at n=10 and the suite still reaches its total line
+        code, out, _ = run(capsys, "verify", "--suite", "counts", "--max-n", "11")
+        lines = out.splitlines()
+        assert code == 0 and lines[-1] == "total=21 failures=0"
+        assert "PASS counts r=3 n=10 brute=0 formula=0" in lines
+        assert not any(line.startswith("PASS counts r=3 n=11") for line in lines)
+        assert "PASS counts r=4 n=11 brute=0 formula=0" in lines
+
 
 # (exit code, sha256 of stdout) of every subcommand in text and JSON mode and of
 # the usage (2), invalid-input (3) and resource-cap (4) exits, all taken before
