@@ -6,21 +6,25 @@ r-parking functions of length k.  The forward map reads, for each block,
 the BFS rank of its connection vertex among all candidate connection
 vertices; the inverse attaches blocks to the growing tree in weakly
 increasing order of their values.
+
+The forward map reads each block's connection vertex off one breadth-first
+search from n.  A pendant hyperedge changes no existing distance, so the
+inverse keeps one (distance, label)-sorted list and inserts new vertices.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from bisect import insort
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import (
     HyperTree,
     Matching,
     MatchingMismatchError,
     ValidationError,
-    extract_matching,
-    is_spanning_tree,
+    _edge_blocks,
+    _top_bfs,
 )
 from .parking import is_r_parking
 
@@ -33,35 +37,17 @@ class BfsOrder:
     position: dict[int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "position", {v: i for i, v in enumerate(self.order)}
-        )
+        object.__setattr__(self, "position", {v: i for i, v in enumerate(self.order)})
 
 
-def _bfs_vertices(root: int, edges: Iterable[tuple[int, ...]]) -> list[int]:
-    """Vertices reachable from root, sorted by hyperedge distance then label."""
-    adj = defaultdict(set)
-    for e in edges:
-        for v in e:
-            adj[v].update(e)
-    dist = {root: 0}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    return sorted(dist, key=lambda v: (dist[v], v))
+def _order_by_distance(dist: list[int]) -> BfsOrder:
+    """Vertices 1..n sorted by distance from the root; the stable sort breaks ties by label."""
+    return BfsOrder(tuple(sorted(range(1, len(dist)), key=dist.__getitem__)))
 
 
 def bfs_order(t: HyperTree) -> BfsOrder:
     """BFS order of a spanning tree rooted at its top vertex n."""
-    if not is_spanning_tree(t):
-        raise ValidationError("input is not a spanning tree")
-    return BfsOrder(tuple(_bfs_vertices(t.n, t.edges)))
+    return _order_by_distance(_top_bfs(t)[2])
 
 
 def consecutive_matching(k: int, block_size: int) -> Matching:
@@ -77,27 +63,18 @@ def tree_to_parking(t: HyperTree) -> tuple[int, ...]:
 
     For block i the candidate hyperedges are block + {x} over all x outside
     the block, ordered by BFS rank of x; the value a_i is the 0-based rank
-    of the unique tree hyperedge among them.
+    of the unique tree hyperedge among them.  That x is the block's parent
+    vertex, which ranks before every block vertex (for r = 1 as well).
     """
-    r = t.r - 1
-    m = extract_matching(t)
-    k = len(m.blocks)
-    if m != consecutive_matching(k, r):
-        raise MatchingMismatchError("tree does not arise from the consecutive matching")
-    rank = bfs_order(t).position
-    out = []
-    for i in range(k):
-        block = set(range(r * i + 1, r * (i + 1) + 1))
-        candidates = [e for e in t.edges if block <= set(e)]
-        # for r >= 2 the containing hyperedge is unique; for r = 1 (ordinary
-        # trees) the block's own hyperedge is the one toward the root, whose
-        # outside vertex is the unique neighbour at smaller BFS rank
-        edge = min(candidates, key=lambda e: rank[(set(e) - block).pop()])
-        (x,) = set(edge) - block
-        outside = sorted(
-            (v for v in range(1, t.n + 1) if v not in block), key=rank.__getitem__
-        )
-        out.append(outside.index(x))
+    blocks, parent, dist = _edge_blocks(t)
+    rank = _order_by_distance(dist).position
+    out = [0] * len(blocks)
+    for b, p in zip(blocks, parent):
+        # blocks of size r partition {1..rk}: consecutive iff every minimum is 1 mod r
+        i, offset = divmod(b[0] - 1, t.r - 1)
+        if offset:
+            raise MatchingMismatchError("tree does not arise from the consecutive matching")
+        out[i] = rank[p]
     return tuple(out)
 
 
@@ -111,12 +88,13 @@ def parking_to_tree(a: Sequence[int], r: int) -> HyperTree:
     """
     if not is_r_parking(a, r):
         raise ValidationError(f"{tuple(a)} is not an r-parking function for r = {r}")
-    k = len(a)
-    n = r * k + 1
+    n = r * len(a) + 1
+    ranked = [(0, n)]  # placed vertices as (distance from n, label), sorted
     edges: list[tuple[int, ...]] = []
-    for i in sorted(range(k), key=lambda i: (a[i], i)):
-        ranks = _bfs_vertices(n, edges)
-        assert a[i] < len(ranks), "parking bound exceeded the placed vertices"
+    for i in sorted(range(len(a)), key=a.__getitem__):
+        d, x = ranked[a[i]]
         block = tuple(range(r * i + 1, r * (i + 1) + 1))
-        edges.append(block + (ranks[a[i]],))
+        edges.append(block + (x,))
+        for v in block:
+            insort(ranked, (d + 1, v))
     return HyperTree(n, r + 1, tuple(edges))

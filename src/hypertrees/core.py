@@ -5,9 +5,9 @@ hypertree when the bipartite vertex/hyperedge incidence graph is a tree in
 the ordinary graph sense.  Counting incidence arcs two ways forces
 n = (r-1)k + 1, so trees exist only when n == 1 (mod r-1).
 
-Deleting the top vertex n and repeatedly stripping matched vertices turns
-every spanning tree into a partition of {1,..,n-1} into blocks of size r-1
-(a "block matching").  The number of such partitions times n^(k-1) gives the
+Deleting from each hyperedge its vertex nearest the top vertex n turns every
+spanning tree into a partition of {1,..,n-1} into blocks of size r-1 (a
+"block matching").  The number of such partitions times n^(k-1) gives the
 total tree count; this module provides both closed forms together with
 brute-force enumerators that serve as independent oracles.
 """
@@ -15,7 +15,7 @@ brute-force enumerators that serve as independent oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -80,32 +80,34 @@ class Matching:
 
     block_size: int
     blocks: tuple[tuple[int, ...], ...]
+    index: dict[int, int] = field(init=False, compare=False, repr=False)  # vertex -> block position
 
     def __post_init__(self) -> None:
         if self.block_size < 1:
             raise ValidationError("block size must be positive")
         canon = tuple(sorted(tuple(sorted(b)) for b in self.blocks))
-        seen: set[int] = set()
-        for b in canon:
+        index: dict[int, int] = {}
+        for i, b in enumerate(canon):
             if len(b) != self.block_size:
                 raise ValidationError(f"block {b} has size {len(b)}, expected {self.block_size}")
-            if len(set(b)) != len(b) or seen & set(b):
-                raise ValidationError(f"block {b} overlaps another block")
-            seen |= set(b)
+            for v in b:
+                if v in index:
+                    raise ValidationError(f"block {b} overlaps another block")
+                index[v] = i
         m = self.block_size * len(canon)
-        if seen != set(range(1, m + 1)):
+        if index.keys() != set(range(1, m + 1)):
             raise ValidationError(f"blocks do not cover [1, {m}]")
         object.__setattr__(self, "blocks", canon)
+        object.__setattr__(self, "index", index)
 
     @property
     def m(self) -> int:
         return self.block_size * len(self.blocks)
 
     def block_of(self, v: int) -> tuple[int, ...]:
-        for b in self.blocks:
-            if v in b:
-                return b
-        raise ValidationError(f"vertex {v} not covered by matching")
+        if v not in self.index:
+            raise ValidationError(f"vertex {v} not covered by matching")
+        return self.blocks[self.index[v]]
 
 
 # ---------------------------------------------------------------------------
@@ -309,40 +311,50 @@ def enumerate_matchings(m: int, b: int, cap: int = DEFAULT_CAP) -> Iterator[Matc
 # matching extraction
 
 
-def extract_matching(t: HyperTree) -> Matching:
-    """The unique block matching on {1,..,n-1} a spanning tree arises from.
+def _top_bfs(t: HyperTree) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
+    """``(blocks, parent, dist)`` of a breadth-first search from the top vertex n.
 
-    Iterative deletion: remove vertex n from every hyperedge; any hyperedge
-    reduced to size r-1 becomes a matched block and its vertices are deleted
-    from the remaining hyperedges; repeat until every hyperedge has been
-    consumed.  On a valid tree every hyperedge contains exactly one block of
-    the result.
+    ``parent[j]`` is the vertex of ``t.edges[j]`` nearest n and ``blocks[j]``
+    the rest of it; ``dist[v]`` is the hyperedge distance of v from n.
     """
     if not is_spanning_tree(t):
         raise ValidationError("input is not a spanning tree")
+    edges = t.edges
+    incident: list[list[int]] = [[] for _ in range(t.n + 1)]
+    for j, e in enumerate(edges):
+        for v in e:
+            incident[v].append(j)
+    blocks: list[tuple[int, ...]] = [()] * len(edges)
+    parent = [0] * len(edges)
+    dist = [0] * (t.n + 1)
+    visited = [t.n]
+    for u in visited:  # grows while it is read: the BFS queue
+        for j in incident[u]:
+            if not parent[j]:
+                parent[j] = u
+                blocks[j] = tuple([v for v in edges[j] if v != u])
+                for v in blocks[j]:
+                    dist[v] = dist[u] + 1
+                visited += blocks[j]
+    return blocks, parent, dist
+
+
+def _edge_blocks(t: HyperTree) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
+    """``_top_bfs`` of a spanning tree that has at least one hyperedge."""
+    found = _top_bfs(t)
     if t.n < t.r:
         raise ValidationError("need at least one hyperedge to extract a matching")
-    deleted = {t.n}
-    remaining = [set(e) for e in t.edges]
-    blocks: list[tuple[int, ...]] = []
-    while remaining:
-        produced = []
-        keep = []
-        for e in remaining:
-            reduced = e - deleted
-            if len(reduced) == t.r - 1:
-                produced.append(reduced)
-            elif len(reduced) == t.r:
-                keep.append(e)
-            else:
-                raise AssertionError("hyperedge lost two vertices in one round")
-        if not produced:
-            raise AssertionError("no hyperedge reduced; impossible on a valid tree")
-        for block in produced:
-            blocks.append(tuple(sorted(block)))
-            deleted |= block
-        remaining = keep
-    return Matching(t.r - 1, tuple(blocks))
+    return found
+
+
+def extract_matching(t: HyperTree) -> Matching:
+    """The unique block matching on {1,..,n-1} a spanning tree arises from.
+
+    Each hyperedge minus its vertex nearest n, found by one breadth-first
+    search from n, is a block: iterative deletion from n finds the same
+    blocks, since a hyperedge first loses its vertex nearest n.
+    """
+    return Matching(t.r - 1, tuple(_edge_blocks(t)[0]))
 
 
 def cross_count(m: Matching) -> int:

@@ -6,20 +6,25 @@ correspond bijectively to length-(k-1) sequences over {1,..,n}.  Encoding
 repeatedly strips the leaf hyperedge with the smallest matched block and
 records its connection point; decoding rebuilds the hyperedges from the
 recorded connection points.
+
+Both run in O(rk + k log k), as in the classic Prufer scheme (Caminiti et
+al., "On coding labeled trees", TCS 2007): a count per block says when it is
+eligible, and one heap yields the smallest eligible block at each step.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .core import (
     HyperTree,
     Matching,
     MatchingMismatchError,
     ValidationError,
+    _edge_blocks,
     _int_groups,
-    extract_matching,
+    extract_matching,  # noqa: F401  (unused here, but importable from this module)
     is_spanning_tree,
 )
 
@@ -54,29 +59,30 @@ def encode(t: HyperTree, m: Matching) -> PruferCode:
     Iterates k-1 times: among the current leaf hyperedges (those containing
     a whole block of m all of whose vertices have degree 1), take the one
     with the smallest block; record its connection point, the unique vertex
-    outside the block; remove the hyperedge.
+    outside the block; remove the hyperedge.  The connection point is the
+    parent vertex, and a block is a leaf once no remaining hyperedge hangs on it.
     """
-    if extract_matching(t) != m:
+    blocks, parent, _ = _edge_blocks(t)
+    if sorted(blocks) != list(m.blocks):
         raise MatchingMismatchError("tree does not arise from this matching")
-    edges = [set(e) for e in t.edges]
-    degree = Counter(v for e in edges for v in e)
-    alive = list(m.blocks)  # ordered by minimum element
+    n, k, index = t.n, len(blocks), m.index
+    conn = [0] * k  # connection point of each block's hyperedge
+    below = [0] * k  # remaining hyperedges whose parent vertex is in the block
+    for b, p in zip(blocks, parent):
+        conn[index[b[0]]] = p
+        if p != n:
+            below[index[p]] += 1
+    leaves = [i for i in range(k) if not below[i]]  # ascending, so a heap
     entries = []
-    for _ in range(len(t.edges) - 1):
-        for block in alive:
-            if all(degree[v] == 1 for v in block):
-                blockset = set(block)
-                (edge,) = [e for e in edges if blockset <= e]
-                break
-        else:
-            raise AssertionError("no leaf hyperedge; impossible on a valid tree")
-        (s,) = edge - blockset
+    for _ in range(k - 1):
+        s = conn[heappop(leaves)]
         entries.append(s)
-        edges.remove(edge)
-        for v in edge:
-            degree[v] -= 1
-        alive.remove(block)
-    return PruferCode(t.n, tuple(entries))
+        if s != n:
+            j = index[s]
+            below[j] -= 1
+            if not below[j]:
+                heappush(leaves, j)
+    return PruferCode(n, tuple(entries))
 
 
 def decode(code: PruferCode, m: Matching, r: int) -> HyperTree:
@@ -95,20 +101,24 @@ def decode(code: PruferCode, m: Matching, r: int) -> HyperTree:
     k = len(m.blocks)
     if len(code.entries) != k - 1:
         raise ValidationError(f"code length {len(code.entries)} != k-1 = {k - 1}")
-    entries = code.entries
-    unfinished = list(m.blocks)
+    later = [0] * k  # connection points s_j, j >= i, inside each block
+    for s in code.entries:
+        if s != n:
+            later[m.index[s]] += 1
+    ready = [i for i in range(k) if not later[i]]  # ascending, so a heap
     edges = []
-    for i, s in enumerate(entries):
-        excluded = {m.block_of(sj) for sj in entries[i:] if sj != n}
-        block = next(b for b in unfinished if b not in excluded)
-        edges.append(block + (s,))
-        unfinished.remove(block)
-    # a counting argument guarantees the loop never runs dry: at step i there
-    # are k-i+1 unfinished blocks but at most k-i excluded ones
-    (last,) = unfinished
-    edges.append(last + (n,))
+    for s in code.entries:
+        edges.append(m.blocks[heappop(ready)] + (s,))
+        if s != n:
+            j = m.index[s]
+            later[j] -= 1
+            if not later[j]:
+                heappush(ready, j)
+    (last,) = ready  # all k blocks enter the heap once, when their count is 0
+    edges.append(m.blocks[last] + (n,))
     tree = HyperTree(n, r, tuple(edges))
-    assert is_spanning_tree(tree)
+    if not is_spanning_tree(tree):
+        raise AssertionError("decoded hyperedges do not form a spanning tree")
     return tree
 
 

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from hypertrees.core import HyperTree, is_spanning_tree
+from hypertrees.core import HyperTree, ValidationError, is_spanning_tree
 
 
 @lru_cache(maxsize=None)
@@ -18,6 +18,14 @@ def naive_spanning_trees(n: int, r: int) -> tuple[HyperTree, ...]:
         if is_spanning_tree(t):
             out.append(t)
     return tuple(out)
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the ValidationError it raises."""
+    try:
+        return f(*args)
+    except ValidationError as exc:
+        return type(exc), str(exc)
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,172 @@
+"""Test-only reference: the quadratic-and-worse Prufer codes and tree/parking
+bijection, kept as first written so the near-linear library versions can be
+compared with them output for output.
+
+Each function follows the paper's description step by step: matching
+extraction by iterative deletion, a fresh leaf scan per encoding step, the
+excluded-block set rebuilt from the whole code suffix per decoding step, and
+a full breadth-first search per attached block.  Only the public types and
+predicates of the library are used.
+"""
+
+from __future__ import annotations
+
+from collections import Counter, defaultdict
+from typing import Iterable, Sequence
+
+from hypertrees.core import (
+    HyperTree,
+    Matching,
+    MatchingMismatchError,
+    ValidationError,
+    is_spanning_tree,
+)
+from hypertrees.parking import is_r_parking
+from hypertrees.prufer import PruferCode
+
+
+def extract_matching(t: HyperTree) -> Matching:
+    """Iterative deletion: remove n, take every hyperedge reduced to r-1
+    vertices as a block, delete its vertices, repeat."""
+    if not is_spanning_tree(t):
+        raise ValidationError("input is not a spanning tree")
+    if t.n < t.r:
+        raise ValidationError("need at least one hyperedge to extract a matching")
+    deleted = {t.n}
+    remaining = [set(e) for e in t.edges]
+    blocks: list[tuple[int, ...]] = []
+    while remaining:
+        produced = []
+        keep = []
+        for e in remaining:
+            reduced = e - deleted
+            if len(reduced) == t.r - 1:
+                produced.append(reduced)
+            elif len(reduced) == t.r:
+                keep.append(e)
+            else:
+                raise AssertionError("hyperedge lost two vertices in one round")
+        if not produced:
+            raise AssertionError("no hyperedge reduced; impossible on a valid tree")
+        for block in produced:
+            blocks.append(tuple(sorted(block)))
+            deleted |= block
+        remaining = keep
+    return Matching(t.r - 1, tuple(blocks))
+
+
+def _block_of(m: Matching, v: int) -> tuple[int, ...]:
+    for b in m.blocks:
+        if v in b:
+            return b
+    raise ValidationError(f"vertex {v} not covered by matching")
+
+
+def encode(t: HyperTree, m: Matching) -> PruferCode:
+    """Strip the leaf hyperedge with the smallest block k-1 times, recording
+    its connection point."""
+    if extract_matching(t) != m:
+        raise MatchingMismatchError("tree does not arise from this matching")
+    edges = [set(e) for e in t.edges]
+    degree = Counter(v for e in edges for v in e)
+    alive = list(m.blocks)
+    entries = []
+    for _ in range(len(t.edges) - 1):
+        for block in alive:
+            if all(degree[v] == 1 for v in block):
+                blockset = set(block)
+                (edge,) = [e for e in edges if blockset <= e]
+                break
+        else:
+            raise AssertionError("no leaf hyperedge; impossible on a valid tree")
+        (s,) = edge - blockset
+        entries.append(s)
+        edges.remove(edge)
+        for v in edge:
+            degree[v] -= 1
+        alive.remove(block)
+    return PruferCode(t.n, tuple(entries))
+
+
+def decode(code: PruferCode, m: Matching, r: int) -> HyperTree:
+    """At step i join the smallest unfinished block holding no s_j, j >= i,
+    to s_i; the last block joins n."""
+    if m.block_size != r - 1:
+        raise ValidationError(f"matching block size {m.block_size} != r-1 = {r - 1}")
+    n = m.m + 1
+    if code.n != n:
+        raise ValidationError(f"code is over [{code.n}], matching needs [{n}]")
+    k = len(m.blocks)
+    if len(code.entries) != k - 1:
+        raise ValidationError(f"code length {len(code.entries)} != k-1 = {k - 1}")
+    entries = code.entries
+    unfinished = list(m.blocks)
+    edges = []
+    for i, s in enumerate(entries):
+        excluded = {_block_of(m, sj) for sj in entries[i:] if sj != n}
+        block = next(b for b in unfinished if b not in excluded)
+        edges.append(block + (s,))
+        unfinished.remove(block)
+    (last,) = unfinished
+    edges.append(last + (n,))
+    tree = HyperTree(n, r, tuple(edges))
+    if not is_spanning_tree(tree):
+        raise AssertionError("decoded hyperedges do not form a spanning tree")
+    return tree
+
+
+def bfs_vertices(root: int, edges: Iterable[tuple[int, ...]]) -> list[int]:
+    """Vertices reachable from root, sorted by hyperedge distance then label."""
+    adj = defaultdict(set)
+    for e in edges:
+        for v in e:
+            adj[v].update(e)
+    dist = {root: 0}
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return sorted(dist, key=lambda v: (dist[v], v))
+
+
+def tree_to_parking(t: HyperTree) -> tuple[int, ...]:
+    """a_i is the rank of block i's hyperedge among block + {x}, x outside
+    the block in BFS order."""
+    r = t.r - 1
+    m = extract_matching(t)
+    k = len(m.blocks)
+    consecutive = tuple(tuple(range(i * r + 1, (i + 1) * r + 1)) for i in range(k))
+    if m.blocks != consecutive:
+        raise MatchingMismatchError("tree does not arise from the consecutive matching")
+    order = bfs_vertices(t.n, t.edges)
+    rank = {v: i for i, v in enumerate(order)}
+    out = []
+    for block in map(set, consecutive):
+        candidates = [e for e in t.edges if block <= set(e)]
+        # for r = 1 both hyperedges at a non-root vertex contain its block;
+        # the one toward the root has the outside vertex of smaller rank
+        edge = min(candidates, key=lambda e: rank[(set(e) - block).pop()])
+        (x,) = set(edge) - block
+        outside = sorted((v for v in range(1, t.n + 1) if v not in block), key=rank.__getitem__)
+        out.append(outside.index(x))
+    return tuple(out)
+
+
+def parking_to_tree(a: Sequence[int], r: int) -> HyperTree:
+    """Attach blocks in order of (value, index); block i joins the vertex at
+    BFS rank a_i of the partial tree, searched afresh each time."""
+    if not is_r_parking(a, r):
+        raise ValidationError(f"{tuple(a)} is not an r-parking function for r = {r}")
+    k = len(a)
+    n = r * k + 1
+    edges: list[tuple[int, ...]] = []
+    for i in sorted(range(k), key=lambda i: (a[i], i)):
+        ranks = bfs_vertices(n, edges)
+        block = tuple(range(r * i + 1, r * (i + 1) + 1))
+        edges.append(block + (ranks[a[i]],))
+    return HyperTree(n, r + 1, tuple(edges))

@@ -1,4 +1,9 @@
+import random
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypertrees.bijection import (
     bfs_order,
@@ -7,15 +12,17 @@ from hypertrees.bijection import (
     tree_to_parking,
 )
 from hypertrees.core import (
+    Matching,
     MatchingMismatchError,
     ValidationError,
     extract_matching,
     parse_tree,
 )
 from hypertrees.parking import count_parking, enumerate_parking
-from hypertrees.prufer import count_trees_for_matching
+from hypertrees.prufer import PruferCode, count_trees_for_matching, decode
 
-from conftest import naive_spanning_trees
+import reference
+from conftest import naive_spanning_trees, outcome
 
 ROUND_TRIP_SIZES = [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2), (2, 3)]
 
@@ -142,3 +149,82 @@ def test_sorted_values_have_weakly_increasing_heights(n, r):
         assert heights == sorted(heights)
         sorted_values = sorted(a)
         assert all(sorted_values[i] <= block_size * i for i in range(k))
+
+
+def rotate_to_parking(xs, r):
+    """The one rotation of a sequence over Z_(rk+1) that is r-parking.
+
+    Cyclic lemma: a sequence is r-parking iff the walk whose step at v is
+    r * #{entries equal to v} - 1 stays >= 0 for v < rk.  The walk ends at
+    -1, so rotating value 0 to just after the first minimum of the walk
+    gives the one rotation that does.
+    """
+    size = r * len(xs) + 1
+    count = [0] * size
+    for x in xs:
+        count[x] += 1
+    walk, low, start = 0, 0, 0
+    for v in range(size):
+        walk += r * count[v] - 1
+        if walk < low:
+            low, start = walk, v + 1
+    return tuple((x - start) % size for x in xs)
+
+
+@st.composite
+def parking_functions(draw, max_k):
+    """(a, r): a uniform random r-parking function, r in {1,2,3}, k <= max_k."""
+    r = draw(st.sampled_from((1, 2, 3)))
+    k = draw(st.integers(1, max_k))
+    xs = draw(st.lists(st.integers(0, r * k), min_size=k, max_size=k))
+    return rotate_to_parking(xs, r), r
+
+
+class TestAgainstReference:
+    """The one-search bijection gives exactly the outputs of the per-step searches."""
+
+    @given(parking_functions(max_k=12))
+    @settings(max_examples=300, deadline=None)
+    def test_small_k_matches_reference(self, case):
+        a, r = case
+        t = parking_to_tree(a, r)
+        assert t == reference.parking_to_tree(a, r)
+        assert tree_to_parking(t) == reference.tree_to_parking(t) == a
+        assert bfs_order(t).order == tuple(reference.bfs_vertices(t.n, t.edges))
+
+    @given(st.sampled_from((1, 2, 3)), st.integers(1, 12), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_any_matching_matches_reference(self, r, k, data):
+        # trees from arbitrary block matchings: the consecutive check and
+        # its error agree with the reference's
+        n = r * k + 1
+        perm = data.draw(st.permutations(range(1, n)))
+        m = Matching(r, tuple(tuple(perm[i:i + r]) for i in range(0, n - 1, r)))
+        entries = data.draw(st.lists(st.integers(1, n), min_size=k - 1, max_size=k - 1))
+        t = decode(PruferCode(n, tuple(entries)), m, r + 1)
+        assert outcome(tree_to_parking, t) == outcome(reference.tree_to_parking, t)
+
+    @given(parking_functions(max_k=300))
+    @settings(max_examples=40, deadline=None)
+    def test_large_k_round_trip(self, case):
+        a, r = case
+        t = parking_to_tree(a, r)
+        assert extract_matching(t) == consecutive_matching(len(a), r)
+        assert tree_to_parking(t) == a
+
+    def test_ten_thousand_blocks(self):
+        rng = random.Random(10_000)
+        k, r = 10_000, 2
+        a = rotate_to_parking([rng.randrange(r * k + 1) for _ in range(k)], r)
+        assert tree_to_parking(parking_to_tree(a, r)) == a
+
+
+@pytest.mark.parametrize("k,r", ROUND_TRIP_SIZES)
+def test_rotation_gives_every_parking_function_once(k, r):
+    size = r * k + 1
+    counts = {}
+    for xs in product(range(size), repeat=k):
+        a = rotate_to_parking(xs, r)
+        counts[a] = counts.get(a, 0) + 1
+    assert set(counts) == set(enumerate_parking(k, r))
+    assert set(counts.values()) == {size}

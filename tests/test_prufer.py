@@ -1,8 +1,12 @@
+import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypertrees.core import (
+    Matching,
     MatchingMismatchError,
     ValidationError,
     count_matchings_formula,
@@ -20,7 +24,8 @@ from hypertrees.prufer import (
     parse_code,
 )
 
-from conftest import naive_spanning_trees
+import reference
+from conftest import naive_spanning_trees, outcome
 
 
 class TestEncode:
@@ -121,3 +126,53 @@ class TestCodeText:
     def test_out_of_range_entry(self):
         with pytest.raises(ValidationError):
             parse_code("10", 9)
+
+
+def _matching(perm, block_size):
+    blocks = (perm[i:i + block_size] for i in range(0, len(perm), block_size))
+    return Matching(block_size, tuple(map(tuple, blocks)))
+
+
+@st.composite
+def coded_fibers(draw, max_k):
+    """(code, matching, r): a uniform random block matching and code, r in {3,4,5}."""
+    r = draw(st.sampled_from((3, 4, 5)))
+    k = draw(st.integers(1, max_k))
+    n = (r - 1) * k + 1
+    m = _matching(draw(st.permutations(range(1, n))), r - 1)
+    entries = draw(st.lists(st.integers(1, n), min_size=k - 1, max_size=k - 1))
+    return PruferCode(n, tuple(entries)), m, r
+
+
+class TestAgainstReference:
+    """The heap-based codes give exactly the outputs of the per-step scans."""
+
+    @given(coded_fibers(max_k=12), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_small_k_matches_reference(self, case, data):
+        code, m, r = case
+        t = decode(code, m, r)
+        assert t == reference.decode(code, m, r)
+        assert extract_matching(t) == reference.extract_matching(t) == m
+        assert encode(t, m) == reference.encode(t, m) == code
+        other = _matching(data.draw(st.permutations(range(1, code.n))), r - 1)
+        assert outcome(encode, t, other) == outcome(reference.encode, t, other)
+
+    @given(coded_fibers(max_k=300))
+    @settings(max_examples=40, deadline=None)
+    def test_large_k_round_trip(self, case):
+        code, m, r = case
+        t = decode(code, m, r)
+        assert extract_matching(t) == m
+        assert encode(t, m) == code
+
+    def test_ten_thousand_blocks(self):
+        rng = random.Random(10_000)
+        k, r = 10_000, 3
+        n = (r - 1) * k + 1
+        perm = list(range(1, n))
+        rng.shuffle(perm)
+        m = _matching(perm, r - 1)
+        code = PruferCode(n, tuple(rng.randint(1, n) for _ in range(k - 1)))
+        t = decode(code, m, r)
+        assert encode(t, m) == code
