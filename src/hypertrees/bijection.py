@@ -23,7 +23,6 @@ from .core import (
     Matching,
     MatchingMismatchError,
     ValidationError,
-    _edge_blocks,
     _top_bfs,
 )
 from .parking import is_r_parking
@@ -47,7 +46,7 @@ def _order_by_distance(dist: list[int]) -> BfsOrder:
 
 def bfs_order(t: HyperTree) -> BfsOrder:
     """BFS order of a spanning tree rooted at its top vertex n."""
-    return _order_by_distance(_top_bfs(t)[2])
+    return _order_by_distance(_top_bfs(t)[1])
 
 
 def consecutive_matching(k: int, block_size: int) -> Matching:
@@ -65,13 +64,15 @@ def tree_to_parking(t: HyperTree) -> tuple[int, ...]:
     the block, ordered by BFS rank of x; the value a_i is the 0-based rank
     of the unique tree hyperedge among them.  That x is the block's parent
     vertex, which ranks before every block vertex (for r = 1 as well).
+    The one-vertex tree maps to the empty function.
     """
-    blocks, parent, dist = _edge_blocks(t)
+    parent, dist = _top_bfs(t)
     rank = _order_by_distance(dist).position
-    out = [0] * len(blocks)
-    for b, p in zip(blocks, parent):
+    out = [0] * len(parent)
+    for e, p in zip(t.edges, parent):
+        low = e[1] if e[0] == p else e[0]  # the block's minimum, as e is sorted
         # blocks of size r partition {1..rk}: consecutive iff every minimum is 1 mod r
-        i, offset = divmod(b[0] - 1, t.r - 1)
+        i, offset = divmod(low - 1, t.r - 1)
         if offset:
             raise MatchingMismatchError("tree does not arise from the consecutive matching")
         out[i] = rank[p]

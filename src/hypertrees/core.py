@@ -145,35 +145,49 @@ def format_matching(m: Matching) -> str:
 # the spanning-tree predicate and brute-force enumeration
 
 
+def _walk(t: HyperTree) -> tuple[list[int], list[int]] | None:
+    """``(parent, dist)`` of a breadth-first search from the top vertex n,
+    or None when t is not a spanning tree.
+
+    ``parent[j]`` is the vertex of ``t.edges[j]`` nearest n and ``dist[v]``
+    the hyperedge distance of v from n.
+    """
+    n, edges = t.n, t.edges
+    if t.r * len(edges) != n + len(edges) - 1:
+        return None
+    incident: list[list[int]] = [[] for _ in range(n + 1)]
+    for j, e in enumerate(edges):
+        for v in e:
+            incident[v].append(j)
+    parent = [0] * len(edges)
+    dist = [-1] * (n + 1)
+    dist[n] = 0
+    queue = [n]
+    for u in queue:  # grows while it is read
+        for j in incident[u]:
+            if not parent[j]:
+                parent[j] = u
+                for v in edges[j]:
+                    if v != u:
+                        if dist[v] >= 0:
+                            return None  # reached a second time: a cycle
+                        dist[v] = dist[u] + 1
+                        queue.append(v)
+    return (parent, dist) if len(queue) == n else None
+
+
 def is_spanning_tree(t: HyperTree) -> bool:
     """True iff the vertex/hyperedge incidence graph of t is a spanning tree.
 
-    The incidence graph has n + k nodes and r*k arcs, so it is a tree
-    exactly when r*k = n + k - 1 and it is acyclic; acyclicity is detected
-    by union-find on vertices (a cycle appears exactly when some hyperedge
-    touches two vertices already connected).  The single vertex with no
-    edges counts as a tree.
+    The incidence graph has n + k nodes and r*k arcs, and a tree has one
+    arc fewer than nodes, so r*k = n + k - 1 refuses most non-trees before
+    any search.  Then one breadth-first search from n: a vertex reached a
+    second time closes a cycle, and a search that ends before reaching all
+    n vertices leaves the graph disconnected (every hyperedge holds a
+    vertex, so reaching every vertex reaches every hyperedge).  Connected
+    and acyclic is a tree.  The single vertex with no edges counts as one.
     """
-    k = len(t.edges)
-    if t.r * k != t.n + k - 1:
-        return False
-    parent = list(range(t.n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for edge in t.edges:
-        it = iter(edge)
-        a = find(next(it))
-        for v in it:
-            b = find(v)
-            if a == b:
-                return False
-            parent[b] = a
-    return True
+    return _walk(t) is not None
 
 
 def tree_size(n: int, r: int) -> int | None:
@@ -283,13 +297,9 @@ def enumerate_matchings(m: int, b: int, cap: int = DEFAULT_CAP) -> Iterator[Matc
 
     Empty stream when b does not divide m.
     """
-    if b < 2:
-        raise ValidationError("block size must be at least 2")
-    if m < 0:
-        raise ValidationError("negative ground-set size")
+    total = count_matchings_formula(m, b)
     if m % b != 0:
         return
-    total = count_matchings_formula(m, b)
     if total > cap:
         raise ResourceCapError(f"{total} matchings exceed cap {cap}")
     blocks: list[tuple[int, ...]] = []
@@ -311,40 +321,21 @@ def enumerate_matchings(m: int, b: int, cap: int = DEFAULT_CAP) -> Iterator[Matc
 # matching extraction
 
 
-def _top_bfs(t: HyperTree) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
-    """``(blocks, parent, dist)`` of a breadth-first search from the top vertex n.
-
-    ``parent[j]`` is the vertex of ``t.edges[j]`` nearest n and ``blocks[j]``
-    the rest of it; ``dist[v]`` is the hyperedge distance of v from n.
-    """
-    if not is_spanning_tree(t):
+def _top_bfs(t: HyperTree) -> tuple[list[int], list[int]]:
+    """``(parent, dist)`` of :func:`_walk`; refuses anything but a spanning tree."""
+    found = _walk(t)
+    if found is None:
         raise ValidationError("input is not a spanning tree")
-    edges = t.edges
-    incident: list[list[int]] = [[] for _ in range(t.n + 1)]
-    for j, e in enumerate(edges):
-        for v in e:
-            incident[v].append(j)
-    blocks: list[tuple[int, ...]] = [()] * len(edges)
-    parent = [0] * len(edges)
-    dist = [0] * (t.n + 1)
-    visited = [t.n]
-    for u in visited:  # grows while it is read: the BFS queue
-        for j in incident[u]:
-            if not parent[j]:
-                parent[j] = u
-                blocks[j] = tuple([v for v in edges[j] if v != u])
-                for v in blocks[j]:
-                    dist[v] = dist[u] + 1
-                visited += blocks[j]
-    return blocks, parent, dist
-
-
-def _edge_blocks(t: HyperTree) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
-    """``_top_bfs`` of a spanning tree that has at least one hyperedge."""
-    found = _top_bfs(t)
-    if t.n < t.r:
-        raise ValidationError("need at least one hyperedge to extract a matching")
     return found
+
+
+def _edge_blocks(t: HyperTree) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Each hyperedge's block (itself minus its parent vertex) and parent
+    vertex, for a spanning tree with at least one hyperedge."""
+    parent = _top_bfs(t)[0]
+    if not parent:
+        raise ValidationError("need at least one hyperedge to extract a matching")
+    return [tuple([v for v in e if v != p]) for e, p in zip(t.edges, parent)], parent
 
 
 def extract_matching(t: HyperTree) -> Matching:

@@ -62,7 +62,7 @@ def encode(t: HyperTree, m: Matching) -> PruferCode:
     outside the block; remove the hyperedge.  The connection point is the
     parent vertex, and a block is a leaf once no remaining hyperedge hangs on it.
     """
-    blocks, parent, _ = _edge_blocks(t)
+    blocks, parent = _edge_blocks(t)
     if sorted(blocks) != list(m.blocks):
         raise MatchingMismatchError("tree does not arise from this matching")
     n, k, index = t.n, len(blocks), m.index

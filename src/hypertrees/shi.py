@@ -161,10 +161,10 @@ class TriangleReport:
         return self.regions == self.parking == self.trees
 
 
-def verify_triangle(k: int, r: int, cap: int = DEFAULT_REGION_CAP) -> TriangleReport:
+def verify_triangle(k: int, r: int) -> TriangleReport:
     """Region count vs parking count vs per-matching tree count at (k, r)."""
     return TriangleReport(
-        regions=count_regions(k, r, cap=cap),
+        regions=count_regions(k, r),
         parking=count_parking(k, r),
         trees=count_trees_for_matching(r * k + 1, r + 1),
     )

@@ -1,12 +1,13 @@
-"""Test-only reference: the quadratic-and-worse Prufer codes and tree/parking
-bijection, kept as first written so the near-linear library versions can be
-compared with them output for output.
+"""Test-only reference: the union-find spanning-tree predicate and the
+quadratic-and-worse Prufer codes and tree/parking bijection, kept as first
+written so the library versions can be compared with them output for output.
 
 Each function follows the paper's description step by step: matching
 extraction by iterative deletion, a fresh leaf scan per encoding step, the
 excluded-block set rebuilt from the whole code suffix per decoding step, and
-a full breadth-first search per attached block.  Only the public types and
-predicates of the library are used.
+a full breadth-first search per attached block.  Only the public types of
+the library and its parking predicate are used; the spanning-tree predicate
+is the union-find below.
 """
 
 from __future__ import annotations
@@ -19,10 +20,40 @@ from hypertrees.core import (
     Matching,
     MatchingMismatchError,
     ValidationError,
-    is_spanning_tree,
 )
 from hypertrees.parking import is_r_parking
 from hypertrees.prufer import PruferCode
+
+
+def is_spanning_tree(t: HyperTree) -> bool:
+    """True iff the vertex/hyperedge incidence graph of t is a spanning tree.
+
+    The incidence graph has n + k nodes and r*k arcs, so it is a tree
+    exactly when r*k = n + k - 1 and it is acyclic; acyclicity is detected
+    by union-find on vertices (a cycle appears exactly when some hyperedge
+    touches two vertices already connected).  The single vertex with no
+    edges counts as a tree.
+    """
+    k = len(t.edges)
+    if t.r * k != t.n + k - 1:
+        return False
+    parent = list(range(t.n + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for edge in t.edges:
+        it = iter(edge)
+        a = find(next(it))
+        for v in it:
+            b = find(v)
+            if a == b:
+                return False
+            parent[b] = a
+    return True
 
 
 def extract_matching(t: HyperTree) -> Matching:

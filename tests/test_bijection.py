@@ -24,7 +24,7 @@ from hypertrees.prufer import PruferCode, count_trees_for_matching, decode
 import reference
 from conftest import naive_spanning_trees, outcome
 
-ROUND_TRIP_SIZES = [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2), (2, 3)]
+ROUND_TRIP_SIZES = [(0, 1), (0, 2), (0, 3), (1, 1), (2, 1), (3, 1), (2, 2), (3, 2), (2, 3)]
 
 
 class TestBfsOrder:

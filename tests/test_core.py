@@ -24,7 +24,8 @@ from hypertrees.core import (
 from hypertrees.parking import parse_sequence
 from hypertrees.prufer import parse_code
 
-from conftest import naive_spanning_trees
+import reference
+from conftest import naive_spanning_trees, outcome
 
 FIG1 = "1,2,3;3,4,7;3,5,6"
 
@@ -63,6 +64,41 @@ class TestIsSpanningTree:
         relabel = dict(zip(range(1, 6), perm))
         mapped = HyperTree(5, 3, tuple(tuple(relabel[v] for v in e) for e in t.edges))
         assert is_spanning_tree(mapped)
+
+
+class TestAgainstReference:
+    """The breadth-first walk from n decides exactly what the union-find decides."""
+
+    @pytest.mark.parametrize("n,r", [(5, 3), (6, 3), (7, 3), (7, 4)])
+    def test_every_edge_set_near_tree_size(self, n, r):
+        # k-1, k and k+1 hyperedges, k = (n-1)//(r-1); at (6,3) no size is a tree size
+        k = (n - 1) // (r - 1)
+        all_edges = list(combinations(range(1, n + 1), r))
+        trees = 0
+        for size in (k - 1, k, k + 1):
+            for edges in combinations(all_edges, size):
+                t = HyperTree(n, r, edges)
+                got = is_spanning_tree(t)
+                assert got == reference.is_spanning_tree(t), t
+                trees += got
+        assert trees == count_spanning_trees_formula(n, r)
+
+    @pytest.mark.parametrize(
+        "text,why",
+        [
+            # n's component {1,2,3,4,5,7} holds the cycle 1-{1,2,7}-2-{1,2,3}-1, 6 is unreached
+            ("1,2,7;1,2,3;3,4,5", "cycle next to n, a vertex unreached"),
+            # n's component {5,6,7} is a tree, the cycle 1-{1,2,3}-2-{1,2,4}-1 lies elsewhere
+            ("5,6,7;1,2,3;1,2,4", "tree at n, cycle elsewhere"),
+            ("1,2,3;3,4,7;3,5,6;1,4,6", "one hyperedge too many"),
+            ("1,2,7;3,4,7", "one hyperedge too few"),
+        ],
+    )
+    def test_named_non_trees(self, text, why):
+        t = parse_tree(text, 7, 3)
+        assert not reference.is_spanning_tree(t), why
+        assert not is_spanning_tree(t), why
+        assert outcome(extract_matching, t) == (ValidationError, "input is not a spanning tree")
 
 
 class TestEnumerateSpanningTrees:
@@ -129,6 +165,16 @@ class TestEnumerateMatchings:
     def test_indivisible_is_empty(self):
         assert list(enumerate_matchings(5, 2)) == []
 
+    def test_out_of_domain_rejected(self):
+        assert outcome(list, enumerate_matchings(4, 1)) == (
+            ValidationError,
+            "block size must be at least 2",
+        )
+        assert outcome(list, enumerate_matchings(-2, 2)) == (
+            ValidationError,
+            "negative ground-set size",
+        )
+
     def test_cap_refusal(self):
         with pytest.raises(ResourceCapError):
             list(enumerate_matchings(20, 2, cap=100))
@@ -150,6 +196,12 @@ class TestExtractMatching:
     def test_rejects_non_tree(self):
         with pytest.raises(ValidationError):
             extract_matching(parse_tree("1,2,3;4,5,6", 7, 3))
+
+    def test_rejects_single_vertex(self):
+        assert outcome(extract_matching, HyperTree(1, 3, ())) == (
+            ValidationError,
+            "need at least one hyperedge to extract a matching",
+        )
 
     @pytest.mark.parametrize("n,r", [(5, 3), (7, 3), (7, 4)])
     def test_each_edge_contains_one_block(self, n, r):
