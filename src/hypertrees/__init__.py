@@ -6,6 +6,7 @@ from .bijection import BfsOrder, bfs_order, consecutive_matching, parking_to_tre
 from .core import (
     DEFAULT_CAP,
     HyperTree,
+    InternalError,
     Matching,
     MatchingMismatchError,
     ResourceCapError,

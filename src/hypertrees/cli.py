@@ -9,8 +9,9 @@ string as it is and any other value through ``_render`` as text or, with
 ``--json``, as JSON.  Handlers are lazy, so ``enumerate`` streams one line
 per tree and ``verify`` prints each check as it runs.
 
-Exit codes: 0 success, 2 usage error, 3 invalid input, 4 resource cap
-exceeded, 5 verification failure.
+Exit codes: 0 success, 1 internal error (a defect in the library, not in the
+input), 2 usage error, 3 invalid input, 4 resource cap exceeded, 5
+verification failure.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import Iterator, Sequence
 from . import bijection, core, egf, parking, prufer, shi
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_INVALID = 3
 EXIT_CAP = 4
@@ -342,6 +344,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (core.ValidationError, ValueError) as exc:
         print(f"error: invalid-input: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except core.InternalError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     return EXIT_OK
 
 

@@ -34,6 +34,10 @@ class MatchingMismatchError(ValidationError):
     """The given tree does not arise from the given matching."""
 
 
+class InternalError(RuntimeError):
+    """A result broke the library's own postcondition: a defect in the library, not in the input."""
+
+
 def _check_edge(edge: Sequence[int], n: int, r: int) -> None:
     if len(edge) != r:
         raise ValidationError(f"hyperedge {edge} has size {len(edge)}, expected {r}")
@@ -192,6 +196,10 @@ def is_spanning_tree(t: HyperTree) -> bool:
 
 def tree_size(n: int, r: int) -> int | None:
     """Number of hyperedges k of any spanning tree on n vertices, or None."""
+    if n < 1:
+        raise ValidationError("vertex count must be positive")
+    if r < 2:
+        raise ValidationError("uniformity must be at least 2")
     if (n - 1) % (r - 1) != 0:
         return None
     return (n - 1) // (r - 1)

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
-from typing import Iterator, Sequence
+from math import comb, factorial
+from typing import Sequence
 
 from .core import (
     ValidationError,
@@ -85,14 +84,14 @@ def compose(f: RationalSeries, g: RationalSeries) -> RationalSeries:
     return acc
 
 
+def _egf(counts: Sequence[int]) -> RationalSeries:
+    """The series whose coefficient of x^i is counts[i] / i!."""
+    return RationalSeries(tuple(Fraction(c, factorial(i)) for i, c in enumerate(counts)))
+
+
 def egf_matchings(b: int, order: int) -> RationalSeries:
     """EGF of partitions into size-b blocks: coefficient of x^n is count/n!."""
-    return RationalSeries(
-        tuple(
-            Fraction(count_matchings_formula(i, b), factorial(i))
-            for i in range(order + 1)
-        )
-    )
+    return _egf([count_matchings_formula(i, b) for i in range(order + 1)])
 
 
 def rooted_tree_count(n: int, r: int) -> int:
@@ -103,11 +102,7 @@ def rooted_tree_count(n: int, r: int) -> int:
 
 
 def egf_rooted_trees(r: int, order: int) -> RationalSeries:
-    return RationalSeries(
-        tuple(
-            Fraction(rooted_tree_count(i, r), factorial(i)) for i in range(order + 1)
-        )
-    )
+    return _egf([rooted_tree_count(i, r) for i in range(order + 1)])
 
 
 @dataclass(frozen=True)
@@ -133,9 +128,7 @@ def verify_functional_equation(
     else:
         if len(tree_counts) < order + 1:
             raise ValidationError("not enough tree counts for the requested order")
-        lhs = RationalSeries(
-            tuple(Fraction(tree_counts[i], factorial(i)) for i in range(order + 1))
-        )
+        lhs = _egf(tree_counts[: order + 1])
     rhs = compose(egf_matchings(r - 1, order), lhs).shift()
     for i in range(order + 1):
         if lhs.coeffs[i] != rhs.coeffs[i]:
@@ -158,66 +151,31 @@ def lagrange_coefficient(r: int, k: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# independent recurrence oracle: build a rooted tree by picking a root,
-# partitioning the rest, recursing, and grouping the subtree roots
-
-
-def _integer_partitions(m: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    if m == 0:
-        yield ()
-        return
-    if max_part is None:
-        max_part = m
-    for p in range(min(m, max_part), 0, -1):
-        for rest in _integer_partitions(m - p, p):
-            yield (p,) + rest
+# independent recurrence oracle: split off the part holding the smallest label
 
 
 def count_rooted_trees_recursive(n: int, r: int) -> int:
-    """Rooted-tree count via the root-decomposition recurrence.
+    """Rooted-tree count by splitting off the part with the smallest label.
 
-    Pick a root (n ways), partition the other n-1 vertices into q nonempty
-    blocks with q divisible by r-1, choose a rooted tree on each block, and
-    group the q subtree roots into blocks of size r-1.  Deliberately avoids
-    series arithmetic so it can serve as a second oracle.
+    trees[j] = j * forest[j-1]: a root over a forest on the other j-1
+    vertices.  sets[q][j] = sum_u C(j-1,u-1) trees[u] sets[q-1][j-u] counts
+    sets of q rooted trees, and forest[j] = sum_s C(j-1,s-1) sets[r-1][s]
+    forest[j-s] counts sets of bundles, a bundle being the r-1 subtrees under
+    one root hyperedge (Moon, *Counting Labelled Trees*, 1970).  Binomials
+    only: no closed form and no series arithmetic, so it is a second oracle.
     """
     if n < 0 or r < 3:
         raise ValidationError("need n >= 0 and r >= 3")
-    b = r - 1
-
-    @lru_cache(maxsize=None)
-    def trees(j: int) -> int:
-        if j == 0:
-            return 0
-        if j == 1:
-            return 1
-        return j * forest(j - 1)
-
-    @lru_cache(maxsize=None)
-    def forest(m: int) -> int:
-        total = 0
-        for sizes in _integer_partitions(m):
-            q = len(sizes)
-            if q == 0 or q % b != 0:
-                continue
-            ways = factorial(m)
-            for s in sizes:
-                ways //= factorial(s)
-            mult = 1
-            prev, run = None, 0
-            for s in sizes + (0,):
-                if s == prev:
-                    run += 1
-                else:
-                    mult *= factorial(run)
-                    prev, run = s, 1
-            ways //= mult
-            prod = 1
-            for s in sizes:
-                prod *= trees(s)
-                if prod == 0:
-                    break
-            total += ways * prod * count_matchings_formula(q, b)
-        return total
-
-    return trees(n)
+    trees = [0] * (n + 1)
+    sets = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(r - 1)]
+    forest = [1] + [0] * n
+    for j in range(1, n + 1):
+        trees[j] = j * forest[j - 1]
+        for q in range(1, r):
+            sets[q][j] = sum(
+                comb(j - 1, u - 1) * trees[u] * sets[q - 1][j - u] for u in range(1, j + 1)
+            )
+        forest[j] = sum(
+            comb(j - 1, s - 1) * sets[r - 1][s] * forest[j - s] for s in range(1, j + 1)
+        )
+    return trees[n]

@@ -19,6 +19,7 @@ from heapq import heappop, heappush
 
 from .core import (
     HyperTree,
+    InternalError,
     Matching,
     MatchingMismatchError,
     ValidationError,
@@ -118,15 +119,13 @@ def decode(code: PruferCode, m: Matching, r: int) -> HyperTree:
     edges.append(m.blocks[last] + (n,))
     tree = HyperTree(n, r, tuple(edges))
     if not is_spanning_tree(tree):
-        raise AssertionError("decoded hyperedges do not form a spanning tree")
+        raise InternalError("decoded hyperedges do not form a spanning tree")
     return tree
 
 
 def count_trees_for_matching(n: int, r: int) -> int:
     """Number of spanning trees arising from any one fixed matching: n^(k-1)."""
-    if n == 1:
-        return 1
     if n < 1 or r < 2 or (n - 1) % (r - 1) != 0:
         raise ValidationError(f"no spanning trees on {n} vertices for r = {r}")
     k = (n - 1) // (r - 1)
-    return n ** (k - 1)
+    return n ** (k - 1) if k else 1

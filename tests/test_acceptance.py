@@ -11,12 +11,14 @@ against the competing (rk+1)^(k-1) (which would give 90 at k=2 instead of
 the actual 70).
 """
 
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
 from itertools import product
 from math import factorial
+from pathlib import Path
 
 from hypertrees import (
     build_arrangement,
@@ -197,8 +199,11 @@ def test_criterion_8_shi_regions():
 
 def test_criterion_9_determinism():
     cmd = [sys.executable, "-m", "hypertrees.cli", "verify", "--suite", "all", "--max-n", "9"]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    first = subprocess.run(cmd, capture_output=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, env=env)
     ok = (
         first.returncode == second.returncode == 0
         and first.stdout == second.stdout

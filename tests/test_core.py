@@ -20,6 +20,7 @@ from hypertrees.core import (
     is_spanning_tree,
     parse_matching,
     parse_tree,
+    tree_size,
 )
 from hypertrees.parking import parse_sequence
 from hypertrees.prufer import parse_code
@@ -146,6 +147,18 @@ class TestCountFormulas:
     )
     def test_matching_counts(self, m, b, expected):
         assert count_matchings_formula(m, b) == expected
+
+    @pytest.mark.parametrize(
+        "n,r,expected",
+        [
+            (7, 3, 3), (1, 2, 0), (4, 3, None),
+            (5, 1, (ValidationError, "uniformity must be at least 2")),
+            (-1, 3, (ValidationError, "vertex count must be positive")),
+            (0, 0, (ValidationError, "vertex count must be positive")),
+        ],
+    )
+    def test_tree_size(self, n, r, expected):
+        assert outcome(tree_size, n, r) == expected
 
 
 class TestEnumerateMatchings:

@@ -151,7 +151,7 @@ class TestLagrange:
 
 
 class TestRecurrenceOracle:
-    @pytest.mark.parametrize("r,top", [(3, 9), (4, 10)])
+    @pytest.mark.parametrize("r,top", [(3, 9), (4, 10), (3, 61), (4, 61), (5, 41), (6, 41)])
     def test_matches_formula(self, r, top):
         for n in range(top + 1):
             assert count_rooted_trees_recursive(n, r) == rooted_tree_count(n, r), n

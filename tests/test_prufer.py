@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypertrees.cli import main
 from hypertrees.core import (
+    InternalError,
     Matching,
     MatchingMismatchError,
     ValidationError,
@@ -68,6 +70,16 @@ class TestDecode:
         with pytest.raises(ValidationError):
             decode(PruferCode(7, (1,)), m, 3)
 
+    def test_broken_postcondition_is_internal_error(self, monkeypatch, capsys):
+        monkeypatch.setattr("hypertrees.prufer.is_spanning_tree", lambda t: False)
+        with pytest.raises(InternalError, match="do not form a spanning tree"):
+            decode(PruferCode(5, (3,)), parse_matching("1,2|3,4"), 3)
+        argv = ["prufer", "decode", "--n", "5", "--r", "3", "--matching", "1,2|3,4", "--code", "3"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal: ")
+
 
 @pytest.mark.parametrize("n,r", [(5, 3), (7, 3), (7, 4)])
 class TestRoundTrips:
@@ -109,9 +121,11 @@ class TestCountTreesForMatching:
             count_trees_for_matching(7, 3) * count_matchings_formula(6, 2) == 735
         )
 
-    def test_infeasible_rejected(self):
-        with pytest.raises(ValidationError):
-            count_trees_for_matching(9, 4)
+    @pytest.mark.parametrize("n,r", [(9, 4), (1, 0), (1, 1), (0, 3), (5, 1)])
+    def test_infeasible_rejected(self, n, r):
+        assert outcome(count_trees_for_matching, n, r) == (
+            ValidationError, f"no spanning trees on {n} vertices for r = {r}"
+        )
 
 
 class TestCodeText:
