@@ -194,10 +194,10 @@ def _check_egf(_max_n: int) -> Iterator[tuple[bool, str]]:
     for n in range(1, 10):
         match = egf.rooted_tree_count(n, 3) == egf.count_rooted_trees_recursive(n, 3)
         yield match, f"egf-recurrence r=3 n={n}"
-    for k in range(1, 5):
-        value = egf.lagrange_coefficient(3, k)
-        closed_form = Fraction(2 * k + 1, 2) ** k / factorial(k)
-        yield value == closed_form, f"egf-lagrange k={k} value={value}"
+    for q in range(1, 5):  # n^q / (b!^q q!) with b = r - 1 = 2, n = bq + 1
+        value = egf.lagrange_coefficient(3, q)
+        closed_form = Fraction((2 * q + 1) ** q, factorial(2) ** q * factorial(q))
+        yield value == closed_form, f"egf-lagrange k={q} value={value}"
 
 
 def _check_shi(_max_n: int) -> Iterator[tuple[bool, str]]:
@@ -332,6 +332,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit:  # exact answers may have more digits than int -> str allows
+        sys.set_int_max_str_digits(0)
     try:
         for value in args.func(args):
             # only commands with --json yield values that are not strings
@@ -341,12 +344,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except core.ResourceCapError as exc:
         print(f"error: resource-cap: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (core.ValidationError, ValueError) as exc:
+    except core.ValidationError as exc:
         print(f"error: invalid-input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except core.InternalError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return EXIT_OK
 
 

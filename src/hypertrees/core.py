@@ -216,8 +216,6 @@ def enumerate_spanning_trees(
     Refuses up front when the unpruned search space C(C(n,r), k) exceeds
     ``cap``.
     """
-    if n < 1 or r < 3:
-        raise ValidationError("need n >= 1 and r >= 3")
     k = tree_size(n, r)
     if k is None:
         return
@@ -270,10 +268,10 @@ def count_matchings_formula(m: int, b: int) -> int:
 
     Repeatedly fix the smallest unplaced element and choose its b-1
     partners: the product of C(j*b - 1, b - 1) over j = 1 .. m/b.
-    Zero when b does not divide m; one when m = 0.
+    Zero when b does not divide m; one when m = 0 or b = 1.
     """
-    if b < 2:
-        raise ValidationError("block size must be at least 2")
+    if b < 1:
+        raise ValidationError("block size must be positive")
     if m < 0:
         raise ValidationError("negative ground-set size")
     if m % b != 0:
@@ -287,17 +285,13 @@ def count_matchings_formula(m: int, b: int) -> int:
 def count_spanning_trees_formula(n: int, r: int) -> int:
     """Closed-form count of spanning trees on n vertices: rPM * n^(k-1).
 
-    rPM is the block-matching count on n-1 vertices with blocks of size
-    r-1.  Returns 0 when n != 1 (mod r-1) and 1 for the single-vertex tree.
+    rPM is the block-matching count on n-1 vertices with blocks of size r-1
+    (1 at r = 2: Cayley's n^(n-2)); 0 when n != 1 (mod r-1), 1 when n = 1.
     """
-    if n < 1 or r < 3:
-        raise ValidationError("need n >= 1 and r >= 3")
     k = tree_size(n, r)
     if k is None:
         return 0
-    if k == 0:
-        return 1
-    return count_matchings_formula(n - 1, r - 1) * n ** (k - 1)
+    return count_matchings_formula(n - 1, r - 1) * n**k // n  # n^(k-1), 1 at k = 0
 
 
 def enumerate_matchings(m: int, b: int, cap: int = DEFAULT_CAP) -> Iterator[Matching]:

@@ -4,7 +4,7 @@ The rooted-tree series T(x) = sum t_n x^n / n! satisfies the functional
 equation T = x * E(T), where E is the exponential generating function of
 block matchings (blocks of size r-1): removing the root of a rooted tree
 leaves a forest of rooted subtrees whose roots are grouped into blocks of
-size r-1.  All arithmetic is over exact rationals on truncated series.
+size r-1, singletons at r = 2.  Series are truncated, with exact rationals.
 """
 
 from __future__ import annotations
@@ -121,8 +121,8 @@ def verify_functional_equation(
     ``tree_counts`` may supply independently computed values of t_0..t_N
     (e.g. from brute-force enumeration); by default the closed form is used.
     """
-    if r < 3 or order < 1:
-        raise ValidationError("need r >= 3 and order >= 1")
+    if r < 2 or order < 1:
+        raise ValidationError("need r >= 2 and order >= 1")
     if tree_counts is None:
         lhs = egf_rooted_trees(r, order)
     else:
@@ -136,18 +136,17 @@ def verify_functional_equation(
     return FunctionalEquationReport(True)
 
 
-def lagrange_coefficient(r: int, k: int) -> Fraction:
-    """[y^{2k}] E(y)^{2k+1} for pair matchings, read off the series power.
+def lagrange_coefficient(r: int, q: int) -> Fraction:
+    """[y^(n-1)] E(y)^n with b = r-1 and n = bq + 1, read off the series power.
 
-    By Lagrange inversion this coefficient, divided by 2k+1, gives the
-    rooted-tree series coefficient of x^{2k+1}.  Its closed form is
-    ((2k+1)/2)^k / k!; the CLI's ``egf`` verify suite compares the two.
+    By Lagrange inversion this coefficient, divided by n, gives the rooted-tree
+    series coefficient of x^n.  E(y) = exp(y^b / b!), so its closed form is
+    n^q / (b!^q q!); the CLI's ``egf`` verify suite compares the two at r = 3.
     """
-    if r != 3:
-        raise ValidationError("the closed form is available only for r = 3")
-    if k < 1:
-        raise ValidationError("need k >= 1")
-    return (egf_matchings(2, 2 * k) ** (2 * k + 1)).coeffs[2 * k]
+    if r < 2 or q < 1:
+        raise ValidationError("need r >= 2 and q >= 1")
+    n = (r - 1) * q + 1
+    return (egf_matchings(r - 1, n - 1) ** n).coeffs[n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +163,8 @@ def count_rooted_trees_recursive(n: int, r: int) -> int:
     one root hyperedge (Moon, *Counting Labelled Trees*, 1970).  Binomials
     only: no closed form and no series arithmetic, so it is a second oracle.
     """
-    if n < 0 or r < 3:
-        raise ValidationError("need n >= 0 and r >= 3")
+    if n < 0 or r < 2:
+        raise ValidationError("need n >= 0 and r >= 2")
     trees = [0] * (n + 1)
     sets = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(r - 1)]
     forest = [1] + [0] * n

@@ -36,8 +36,3 @@ def trees_5_3():
 @pytest.fixture(scope="session")
 def trees_7_3():
     return naive_spanning_trees(7, 3)
-
-
-@pytest.fixture(scope="session")
-def trees_7_4():
-    return naive_spanning_trees(7, 4)

@@ -115,8 +115,9 @@ class TestEnumerateSpanningTrees:
         assert list(enumerate_spanning_trees(4, 3)) == []
         assert list(enumerate_spanning_trees(9, 4)) == []
 
-    def test_matches_naive_oracle(self, trees_7_4):
-        assert list(enumerate_spanning_trees(7, 4)) == list(trees_7_4)
+    def test_matches_naive_oracle(self):
+        for n, r in ((7, 4), (5, 2), (6, 2)):
+            assert list(enumerate_spanning_trees(n, r)) == list(naive_spanning_trees(n, r))
 
     def test_lexicographic_order(self, trees_7_3):
         edge_sets = [t.edges for t in trees_7_3]
@@ -130,20 +131,27 @@ class TestEnumerateSpanningTrees:
 class TestCountFormulas:
     @pytest.mark.parametrize(
         "n,r,expected",
-        [(7, 3, 735), (5, 3, 15), (3, 3, 1), (1, 3, 1), (4, 3, 0), (7, 4, 70), (9, 4, 0)],
+        [
+            (7, 3, 735), (5, 3, 15), (3, 3, 1), (1, 3, 1), (4, 3, 0), (7, 4, 70), (9, 4, 0),
+            (1, 2, 1), (5, 2, 125), (7, 2, 16807),
+        ],
     )
     def test_tree_counts(self, n, r, expected):
         assert count_spanning_trees_formula(n, r) == expected
 
     def test_formula_equals_brute_force(self):
-        for r in (3, 4):
-            for n in range(1, 10):
+        # at r = 2 (Cayley's n^(n-2)), n = 9 would enumerate 4.8 million trees
+        for r, top in ((2, 7), (3, 9), (4, 9)):
+            for n in range(1, top + 1):
                 brute = sum(1 for _ in enumerate_spanning_trees(n, r))
                 assert brute == count_spanning_trees_formula(n, r), (n, r)
 
     @pytest.mark.parametrize(
         "m,b,expected",
-        [(4, 2, 3), (6, 2, 15), (6, 3, 10), (0, 2, 1), (5, 2, 0), (9, 3, 280)],
+        [
+            (4, 2, 3), (6, 2, 15), (6, 3, 10), (0, 2, 1), (5, 2, 0), (9, 3, 280),
+            (4, 1, 1), (0, 1, 1),
+        ],
     )
     def test_matching_counts(self, m, b, expected):
         assert count_matchings_formula(m, b) == expected
@@ -169,7 +177,7 @@ class TestEnumerateMatchings:
     def test_single_pair(self):
         assert [m.blocks for m in enumerate_matchings(2, 2)] == [((1, 2),)]
 
-    @pytest.mark.parametrize("m,b", [(6, 2), (6, 3), (8, 2), (9, 3)])
+    @pytest.mark.parametrize("m,b", [(6, 2), (6, 3), (8, 2), (9, 3), (5, 1)])
     def test_count_agrees_with_formula(self, m, b):
         matchings = list(enumerate_matchings(m, b))
         assert len(matchings) == count_matchings_formula(m, b)
@@ -179,9 +187,10 @@ class TestEnumerateMatchings:
         assert list(enumerate_matchings(5, 2)) == []
 
     def test_out_of_domain_rejected(self):
-        assert outcome(list, enumerate_matchings(4, 1)) == (
+        assert [m.blocks for m in enumerate_matchings(4, 1)] == [((1,), (2,), (3,), (4,))]
+        assert outcome(list, enumerate_matchings(4, 0)) == (
             ValidationError,
-            "block size must be at least 2",
+            "block size must be positive",
         )
         assert outcome(list, enumerate_matchings(-2, 2)) == (
             ValidationError,

@@ -104,6 +104,10 @@ class TestRootedTreeSeries:
 
 
 class TestFunctionalEquation:
+    def test_r2(self):
+        # T = x * e^T: t_n = n^(n-1) rooted labelled trees
+        assert verify_functional_equation(2, 15).ok
+
     def test_r3(self):
         assert verify_functional_equation(3, 9).ok
 
@@ -142,16 +146,24 @@ class TestLagrange:
         assert lagrange_coefficient(3, k) == expected
 
     def test_closed_form(self):
-        for k in range(1, 5):
-            assert lagrange_coefficient(3, k) == Fraction(2 * k + 1, 2) ** k / factorial(k)
+        for r in range(2, 6):
+            b = r - 1
+            for q in range(1, 5):
+                n = b * q + 1
+                expected = Fraction(n**q, factorial(b) ** q * factorial(q))
+                assert lagrange_coefficient(r, q) == expected, (r, q)
 
     def test_unsupported_uniformity(self):
         with pytest.raises(ValidationError):
-            lagrange_coefficient(4, 1)
+            lagrange_coefficient(1, 1)
+        with pytest.raises(ValidationError):
+            lagrange_coefficient(3, 0)
 
 
 class TestRecurrenceOracle:
-    @pytest.mark.parametrize("r,top", [(3, 9), (4, 10), (3, 61), (4, 61), (5, 41), (6, 41)])
+    @pytest.mark.parametrize(
+        "r,top", [(2, 29), (3, 9), (4, 10), (3, 61), (4, 61), (5, 41), (6, 41)]
+    )
     def test_matches_formula(self, r, top):
         for n in range(top + 1):
             assert count_rooted_trees_recursive(n, r) == rooted_tree_count(n, r), n

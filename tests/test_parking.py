@@ -1,3 +1,4 @@
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -13,6 +14,11 @@ from hypertrees.parking import (
     parse_sequence,
     simulate_parking,
 )
+
+
+@lru_cache(maxsize=None)
+def sorted_parking(k, r):
+    return sorted(enumerate_parking(k, r))
 
 
 class TestIsRParking:
@@ -53,7 +59,7 @@ class TestIsRParking:
     def test_monotone_under_decrease(self, data):
         r = data.draw(st.integers(1, 3))
         k = data.draw(st.integers(1, 5))
-        a = list(data.draw(st.sampled_from(sorted(enumerate_parking(k, r)))))
+        a = list(data.draw(st.sampled_from(sorted_parking(k, r))))
         i = data.draw(st.integers(0, k - 1))
         if a[i] > 0:
             a[i] -= 1

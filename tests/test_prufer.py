@@ -111,6 +111,33 @@ class TestRoundTrips:
         assert seen == set(naive_spanning_trees(n, r))
 
 
+def textbook_prufer(edges, n):
+    """Prüfer's code of an ordinary labelled tree: n - 2 times, delete the
+    smallest leaf and record its neighbour."""
+    neighbours = {v: set() for v in range(1, n + 1)}
+    for u, v in edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    code = []
+    for _ in range(n - 2):
+        leaf = min(v for v, adjacent in neighbours.items() if len(adjacent) == 1)
+        (u,) = neighbours.pop(leaf)
+        neighbours[u].remove(leaf)
+        code.append(u)
+    return tuple(code)
+
+
+def test_uniformity_2_is_the_textbook_code():
+    # at r = 2 every tree arises from the matching into singletons; the
+    # smallest leaf is never n, since three or more vertices leave two leaves
+    n = 6
+    singletons = Matching(1, tuple((v,) for v in range(1, n)))
+    trees = naive_spanning_trees(n, 2)
+    assert len(trees) == n ** (n - 2)
+    for t in trees:
+        assert encode(t, singletons).entries == textbook_prufer(t.edges, n), t
+
+
 class TestCountTreesForMatching:
     @pytest.mark.parametrize("n,r,expected", [(5, 3, 5), (7, 3, 49), (7, 4, 7), (1, 3, 1)])
     def test_values(self, n, r, expected):
