@@ -2,7 +2,7 @@
 Prufer-style codes, r-parking functions, exact generating functions, and
 extended Shi arrangement regions, with brute-force oracles throughout."""
 
-from .bijection import BfsOrder, bfs_order, consecutive_matching, parking_to_tree, tree_to_parking
+from .bijection import bfs_order, consecutive_matching, parking_to_tree, tree_to_parking
 from .core import (
     DEFAULT_CAP,
     HyperTree,

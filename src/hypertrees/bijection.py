@@ -15,7 +15,6 @@ inverse keeps one (distance, label)-sorted list and inserts new vertices.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .core import (
@@ -28,25 +27,10 @@ from .core import (
 from .parking import is_r_parking
 
 
-@dataclass(frozen=True)
-class BfsOrder:
-    """Vertices ordered by hyperedge distance from the root, ties by label."""
-
-    order: tuple[int, ...]
-    position: dict[int, int] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "position", {v: i for i, v in enumerate(self.order)})
-
-
-def _order_by_distance(dist: list[int]) -> BfsOrder:
-    """Vertices 1..n sorted by distance from the root; the stable sort breaks ties by label."""
-    return BfsOrder(tuple(sorted(range(1, len(dist)), key=dist.__getitem__)))
-
-
-def bfs_order(t: HyperTree) -> BfsOrder:
-    """BFS order of a spanning tree rooted at its top vertex n."""
-    return _order_by_distance(_top_bfs(t)[1])
+def bfs_order(t: HyperTree) -> tuple[int, ...]:
+    """Vertices of a spanning tree by hyperedge distance from its top vertex n, ties by label."""
+    dist = _top_bfs(t)[1]
+    return tuple(sorted(range(1, t.n + 1), key=dist.__getitem__))
 
 
 def consecutive_matching(k: int, block_size: int) -> Matching:
@@ -67,7 +51,7 @@ def tree_to_parking(t: HyperTree) -> tuple[int, ...]:
     The one-vertex tree maps to the empty function.
     """
     parent, dist = _top_bfs(t)
-    rank = _order_by_distance(dist).position
+    rank = {v: i for i, v in enumerate(sorted(range(1, t.n + 1), key=dist.__getitem__))}
     out = [0] * len(parent)
     for e, p in zip(t.edges, parent):
         low = e[1] if e[0] == p else e[0]  # the block's minimum, as e is sorted

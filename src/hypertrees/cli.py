@@ -154,7 +154,7 @@ def _check_prufer(max_n: int) -> Iterator[tuple[bool, str]]:
     for n, r in ((5, 3), (7, 3), (7, 4)):
         if n > max_n:
             continue
-        k = (n - 1) // (r - 1)
+        k = core.tree_size(n, r)
         total = failures = 0
         for m in core.enumerate_matchings(n - 1, r - 1):
             for entries in product(range(1, n + 1), repeat=k - 1):
@@ -238,11 +238,12 @@ def _cmd_verify(args) -> Iterator[str]:
 # the command table
 
 
+_TEXT_ARGS = ("tree", "matching", "code", "seq")
 _ARGS = {
     "json": dict(action="store_true", help="emit JSON output"),
     "cap": dict(type=int, default=core.DEFAULT_CAP, help="enumeration search cap"),
     **dict.fromkeys(("n", "r", "k"), dict(type=int, required=True)),
-    **dict.fromkeys(("tree", "matching", "code", "seq"), dict(required=True)),
+    **dict.fromkeys(_TEXT_ARGS, dict(required=True)),
 }
 
 _GROUPS = {
@@ -326,10 +327,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_text_values(argv: Sequence[str]) -> list[str]:
+    """Write ``--seq -1,0`` as ``--seq=-1,0``.  Argparse takes a separate
+    value that starts with "-" for an option, so the library never sees it."""
+    options = {f"--{name}" for name in _TEXT_ARGS}
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in options and token.startswith("-") and not token.startswith("--"):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_text_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit

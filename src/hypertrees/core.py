@@ -62,10 +62,7 @@ class HyperTree:
     edges: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValidationError("vertex count must be positive")
-        if self.r < 2:
-            raise ValidationError("uniformity must be at least 2")
+        tree_size(self.n, self.r)  # refuses n < 1 and r < 2
         canon = tuple(sorted(tuple(sorted(e)) for e in self.edges))
         for e in canon:
             _check_edge(e, self.n, self.r)
@@ -107,11 +104,6 @@ class Matching:
     @property
     def m(self) -> int:
         return self.block_size * len(self.blocks)
-
-    def block_of(self, v: int) -> tuple[int, ...]:
-        if v not in self.index:
-            raise ValidationError(f"vertex {v} not covered by matching")
-        return self.blocks[self.index[v]]
 
 
 # ---------------------------------------------------------------------------
@@ -294,16 +286,16 @@ def count_spanning_trees_formula(n: int, r: int) -> int:
     return count_matchings_formula(n - 1, r - 1) * n**k // n  # n^(k-1), 1 at k = 0
 
 
-def enumerate_matchings(m: int, b: int, cap: int = DEFAULT_CAP) -> Iterator[Matching]:
+def enumerate_matchings(m: int, b: int) -> Iterator[Matching]:
     """Yield all partitions of {1,..,m} into size-b blocks, canonical order.
 
-    Empty stream when b does not divide m.
+    Empty stream when b does not divide m; refuses more than ``DEFAULT_CAP``.
     """
     total = count_matchings_formula(m, b)
     if m % b != 0:
         return
-    if total > cap:
-        raise ResourceCapError(f"{total} matchings exceed cap {cap}")
+    if total > DEFAULT_CAP:
+        raise ResourceCapError(f"{total} matchings exceed cap {DEFAULT_CAP}")
     blocks: list[tuple[int, ...]] = []
 
     def rec(remaining: list[int]) -> Iterator[Matching]:

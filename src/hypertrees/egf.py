@@ -89,9 +89,16 @@ def _egf(counts: Sequence[int]) -> RationalSeries:
     return RationalSeries(tuple(Fraction(c, factorial(i)) for i, c in enumerate(counts)))
 
 
+def _exponents(order: int) -> range:
+    """The exponents 0..order of a series truncated at ``order``."""
+    if order < 0:
+        raise ValidationError(f"series order must be non-negative, got {order}")
+    return range(order + 1)
+
+
 def egf_matchings(b: int, order: int) -> RationalSeries:
     """EGF of partitions into size-b blocks: coefficient of x^n is count/n!."""
-    return _egf([count_matchings_formula(i, b) for i in range(order + 1)])
+    return _egf([count_matchings_formula(i, b) for i in _exponents(order)])
 
 
 def rooted_tree_count(n: int, r: int) -> int:
@@ -102,7 +109,7 @@ def rooted_tree_count(n: int, r: int) -> int:
 
 
 def egf_rooted_trees(r: int, order: int) -> RationalSeries:
-    return _egf([rooted_tree_count(i, r) for i in range(order + 1)])
+    return _egf([rooted_tree_count(i, r) for i in _exponents(order)])
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,12 @@ from typing import Iterator, Sequence
 from .core import DEFAULT_CAP, ResourceCapError, ValidationError, _int_groups
 
 
+def _check_domain(k: int, r: int) -> None:
+    """Length k >= 0 and r >= 1: the domain of the parking side and the Shi side."""
+    if k < 0 or r < 1:
+        raise ValidationError("need k >= 0 and r >= 1")
+
+
 def _check_entries(a: Sequence[int]) -> None:
     for x in a:
         if x < 0:
@@ -16,8 +22,7 @@ def _check_entries(a: Sequence[int]) -> None:
 
 def is_r_parking(a: Sequence[int], r: int) -> bool:
     """True iff the sorted rearrangement b satisfies b_i <= r*(i-1) for all i."""
-    if r < 1:
-        raise ValidationError("r must be positive")
+    _check_domain(len(a), r)
     _check_entries(a)
     return all(x <= r * i for i, x in enumerate(sorted(a)))
 
@@ -49,8 +54,7 @@ def enumerate_parking(k: int, r: int, cap: int = DEFAULT_CAP) -> Iterator[tuple[
     {0,..,r*(k-1)}^k is exhaustive; for k = 0 the empty sequence is the
     only one, as ``count_parking(0, r)`` says.
     """
-    if k < 0 or r < 1:
-        raise ValidationError("need k >= 0 and r >= 1")
+    _check_domain(k, r)
     top = r * (k - 1)
     if (top + 1) ** k > cap:
         raise ResourceCapError(f"search space {(top + 1) ** k} exceeds cap {cap}")
@@ -61,8 +65,7 @@ def enumerate_parking(k: int, r: int, cap: int = DEFAULT_CAP) -> Iterator[tuple[
 
 def count_parking(k: int, r: int) -> int:
     """Number of r-parking functions of length k: (r*k + 1)^(k-1)."""
-    if k < 0 or r < 1:
-        raise ValidationError("need k >= 0 and r >= 1")
+    _check_domain(k, r)
     if k == 0:
         return 1
     return (r * k + 1) ** (k - 1)

@@ -27,6 +27,7 @@ from .core import (
     _int_groups,
     extract_matching,  # noqa: F401  (unused here, but importable from this module)
     is_spanning_tree,
+    tree_size,
 )
 
 
@@ -125,7 +126,7 @@ def decode(code: PruferCode, m: Matching, r: int) -> HyperTree:
 
 def count_trees_for_matching(n: int, r: int) -> int:
     """Number of spanning trees arising from any one fixed matching: n^(k-1)."""
-    if n < 1 or r < 2 or (n - 1) % (r - 1) != 0:
+    k = tree_size(n, r)
+    if k is None:
         raise ValidationError(f"no spanning trees on {n} vertices for r = {r}")
-    k = (n - 1) // (r - 1)
     return n ** (k - 1) if k else 1

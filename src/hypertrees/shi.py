@@ -22,7 +22,7 @@ from itertools import combinations
 from math import inf
 
 from .core import ResourceCapError, ValidationError
-from .parking import count_parking
+from .parking import _check_domain, count_parking
 from .prufer import count_trees_for_matching
 
 DEFAULT_REGION_CAP = 500_000
@@ -49,14 +49,9 @@ class Region:
     witness: tuple[Fraction, ...]
 
 
-def _check_size(m: int, r: int) -> None:
-    if m < 1 or r < 1:
-        raise ValidationError("need m >= 1 and r >= 1")
-
-
 def build_arrangement(m: int, r: int) -> tuple[Hyperplane, ...]:
     """All C(m,2) * 2r hyperplanes, ordered by (i, j, c)."""
-    _check_size(m, r)
+    _check_domain(m, r)
     return tuple(
         Hyperplane(i, j, c)
         for i, j in combinations(range(1, m + 1), 2)
@@ -107,7 +102,7 @@ def regions(m: int, r: int, cap: int = DEFAULT_REGION_CAP) -> list[Region]:
     so the top-down order lists sign vectors with +1 before -1.  ``cap``
     bounds the number of interval choices tried.
     """
-    _check_size(m, r)
+    _check_domain(m, r)
     blocks = {
         c: tuple(1 if h <= c else -1 for h in range(-r + 1, r + 1))
         for c in range(-r, r + 1)
@@ -132,9 +127,9 @@ def regions(m: int, r: int, cap: int = DEFAULT_REGION_CAP) -> list[Region]:
     return [Region(signs, _witness(d)) for signs, d in partial]
 
 
-def count_regions(m: int, r: int, cap: int = DEFAULT_REGION_CAP) -> int:
+def count_regions(m: int, r: int) -> int:
     """Exact number of regions of the arrangement in m coordinates."""
-    return len(regions(m, r, cap=cap))
+    return len(regions(m, r))
 
 
 def witness_satisfies(region: Region, hyperplanes: tuple[Hyperplane, ...]) -> bool:

@@ -29,10 +29,5 @@ def outcome(f, *args):
 
 
 @pytest.fixture(scope="session")
-def trees_5_3():
-    return naive_spanning_trees(5, 3)
-
-
-@pytest.fixture(scope="session")
 def trees_7_3():
     return naive_spanning_trees(7, 3)

@@ -30,18 +30,14 @@ ROUND_TRIP_SIZES = [(0, 1), (0, 2), (0, 3), (1, 1), (2, 1), (3, 1), (2, 2), (3, 
 class TestBfsOrder:
     def test_seven_vertex_example(self):
         t = parse_tree("3,4,7;5,6,7;1,2,3", 7, 3)
-        assert bfs_order(t).order == (7, 3, 4, 5, 6, 1, 2)
+        assert bfs_order(t) == (7, 3, 4, 5, 6, 1, 2)
 
     def test_single_edge(self):
-        assert bfs_order(parse_tree("1,2,3", 3, 3)).order == (3, 1, 2)
+        assert bfs_order(parse_tree("1,2,3", 3, 3)) == (3, 1, 2)
 
     def test_both_blocks_at_distance_one(self):
         t = parse_tree("1,2,5;3,4,5", 5, 3)
-        assert bfs_order(t).order == (5, 1, 2, 3, 4)
-
-    def test_position_is_inverse_lookup(self):
-        order = bfs_order(parse_tree("1,2,5;3,4,5", 5, 3))
-        assert all(order.order[i] == v for v, i in order.position.items())
+        assert bfs_order(t) == (5, 1, 2, 3, 4)
 
     def test_rejects_non_tree(self):
         with pytest.raises(ValidationError):
@@ -190,7 +186,7 @@ class TestAgainstReference:
         t = parking_to_tree(a, r)
         assert t == reference.parking_to_tree(a, r)
         assert tree_to_parking(t) == reference.tree_to_parking(t) == a
-        assert bfs_order(t).order == tuple(reference.bfs_vertices(t.n, t.edges))
+        assert bfs_order(t) == tuple(reference.bfs_vertices(t.n, t.edges))
 
     @given(st.sampled_from((1, 2, 3)), st.integers(1, 12), st.data())
     @settings(max_examples=200, deadline=None)

@@ -146,6 +146,19 @@ class TestEgf:
         assert code == 3 and out == ""
         assert "invalid-input" in err
 
+    @pytest.mark.parametrize("order", ["-1", "-5"])
+    def test_negative_order_is_named(self, capsys, order):
+        code, out, err = run(capsys, "egf", "--r", "3", "--order", order)
+        assert (code, out) == (3, "")
+        assert err == f"error: invalid-input: series order must be non-negative, got {order}\n"
+
+    def test_verify_mismatch_exits_5(self, capsys, monkeypatch):
+        report = egf.FunctionalEquationReport(False, 5, Fraction(19, 30), Fraction(5, 8))
+        monkeypatch.setattr(egf, "verify_functional_equation", lambda r, order: report)
+        code, out, _ = run(capsys, "egf", "--r", "3", "--order", "5", "--verify")
+        assert code == 5
+        assert out.splitlines()[-1] == "functional-equation r=3 order=5: mismatch at 5: 19/30 != 5/8"
+
 
 class TestShi:
     def test_regions_count(self, capsys):
@@ -169,6 +182,25 @@ class TestErrorsAndDeterminism:
     def test_malformed_payload(self, capsys):
         code, _, err = run(capsys, "matching", "extract", "--n", "7", "--r", "3", "--tree", "1,2")
         assert code == 3 and "invalid-input" in err
+
+    @pytest.mark.parametrize(
+        "command,message",
+        [
+            ("park check --seq -1,0 --r 1", "negative entry -1"),
+            ("park simulate --seq -1,0", "negative entry -1"),
+            ("bij to-tree --seq -1,0 --r 1", "negative entry -1"),
+            ("prufer decode --n 9 --r 3 --matching 1,2|3,4|5,6|7,8 --code -3,3,4",
+             "code entry -3 outside [1, 9]"),
+        ],
+        ids=["park-check", "park-simulate", "bij-to-tree", "prufer-decode"],
+    )
+    def test_value_starting_with_dash_reaches_the_library(self, capsys, command, message):
+        # argparse alone takes "-1,0" for an option and exits 2
+        code, out, err = run(capsys, *command.split())
+        assert (code, out, err) == (3, "", f"error: invalid-input: {message}\n")
+
+    def test_missing_value_is_still_a_usage_error(self, capsys):
+        assert run(capsys, "park", "check", "--seq", "--r", "1")[0] == 2
 
     def test_resource_cap_exit_code(self, capsys):
         code, _, err = run(capsys, "count", "--n", "13", "--r", "3", "--method", "brute", "--cap", "10")
@@ -214,7 +246,8 @@ class TestVerifyStreaming:
 # (exit code, sha256 of stdout) of every subcommand in text and JSON mode and of
 # the usage (2), invalid-input (3) and resource-cap (4) exits, all taken before
 # the CLI became table-driven, except the `count --r 2` and `count --r 1` rows,
-# set when uniformity 2 joined the domain.
+# set when uniformity 2 joined the domain, and the `shi regions --k 0` and
+# `--k -1` rows, set when the Shi side took k = 0.
 EMPTY = hashlib.sha256(b"").hexdigest()
 T7 = "'1,2,3;3,4,7;3,5,6'"
 T9 = "'1,2,3;3,4,9;3,5,6;4,7,8'"
@@ -293,6 +326,8 @@ GOLDEN = [
      0, "947920c82b72c4ef8cce6202b72d0db496f88a53a3619c3bb359be6d552045f7"),
     ("shi regions --k 2 --r 2 --witnesses --json",
      0, "b4a2bebe77ae4d5708ff92018046c87db9af9a54a188b92330402ed7a48b8efe"),
+    ("shi regions --k 0 --r 1",
+     0, "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
     ("verify --suite all --max-n 9",
      0, "9b394e14701694efb2b362c711184ff48d69eed624a54eabf012c49c029c48e0"),
     ("verify --suite parking --max-n 5",
@@ -310,7 +345,7 @@ GOLDEN = [
     ("park enumerate --k 2 --r 0", 3, EMPTY),
     ("egf --r 3 --order 0 --verify", 3, EMPTY),
     ("egf --r 3 --order 0 --verify --json", 3, EMPTY),
-    ("shi regions --k 0 --r 1", 3, EMPTY),
+    ("shi regions --k -1 --r 1", 3, EMPTY),
     ("matching extract --n 7 --r 3 --tree '1,x;2'", 3, EMPTY),
     ("bij to-tree --seq 3,3 --r 1", 3, EMPTY),
     ("count --n 13 --r 3 --method brute --cap 10", 4, EMPTY),

@@ -199,7 +199,7 @@ class TestEnumerateMatchings:
 
     def test_cap_refusal(self):
         with pytest.raises(ResourceCapError):
-            list(enumerate_matchings(20, 2, cap=100))
+            list(enumerate_matchings(20, 2))  # 654,729,075 > DEFAULT_CAP
 
 
 class TestExtractMatching:
@@ -337,8 +337,16 @@ class TestMatchingType:
         with pytest.raises(ValidationError):
             Matching(2, ((1, 2), (4, 5)))
 
-    def test_block_of(self):
-        m = parse_matching("1,2|3,4")
-        assert m.block_of(3) == (3, 4)
-        with pytest.raises(ValidationError):
-            m.block_of(9)
+
+@pytest.mark.parametrize(
+    "make,args,message",
+    [
+        (HyperTree, (0, 3, ()), "vertex count must be positive"),
+        (HyperTree, (3, 1, ()), "uniformity must be at least 2"),
+        (Matching, (2, ((1, 2), (3,))), "block (3,) has size 1, expected 2"),
+        (parse_matching, ("",), "empty matching text"),
+    ],
+    ids=["tree-n0", "tree-r1", "matching-short-block", "matching-empty-text"],
+)
+def test_construction_refusals(make, args, message):
+    assert outcome(make, *args) == (ValidationError, message)

@@ -16,6 +16,8 @@ from hypertrees.egf import (
     verify_functional_equation,
 )
 
+from conftest import outcome
+
 
 class TestRationalSeries:
     def test_exact_arithmetic(self):
@@ -31,6 +33,17 @@ class TestRationalSeries:
     def test_shift(self):
         f = RationalSeries((Fraction(1), Fraction(2), Fraction(3)))
         assert f.shift().coeffs == (Fraction(0), Fraction(1), Fraction(2))
+
+    @pytest.mark.parametrize(
+        "f,args,message",
+        [
+            (RationalSeries, ((),), "series needs at least the constant term"),
+            (pow, (RationalSeries((1,)), -1), "negative series power"),
+        ],
+        ids=["no-coefficients", "negative-power"],
+    )
+    def test_refusals(self, f, args, message):
+        assert outcome(f, *args) == (ValidationError, message)
 
 
 class TestCompose:
@@ -96,6 +109,13 @@ class TestRootedTreeSeries:
             expected *= n**k
             assert rooted_tree_count(n, 3) == expected
 
+    @pytest.mark.parametrize("series,first", [(egf_rooted_trees, 3), (egf_matchings, 2)])
+    @pytest.mark.parametrize("order", [-1, -5])
+    def test_negative_order_rejected(self, series, first, order):
+        assert outcome(series, first, order) == (
+            ValidationError, f"series order must be non-negative, got {order}"
+        )
+
     def test_rooted_equals_n_times_unrooted_brute_force(self):
         for r in (3, 4):
             for n in range(1, 10):
@@ -130,6 +150,11 @@ class TestFunctionalEquation:
         assert report.first_mismatch == 5
         assert report.lhs == Fraction(76, factorial(5))
         assert report.rhs == Fraction(75, factorial(5))
+
+    def test_too_few_tree_counts_rejected(self):
+        assert outcome(verify_functional_equation, 3, 9, [0] * 5) == (
+            ValidationError, "not enough tree counts for the requested order"
+        )
 
 
 class TestLagrange:
@@ -167,3 +192,8 @@ class TestRecurrenceOracle:
     def test_matches_formula(self, r, top):
         for n in range(top + 1):
             assert count_rooted_trees_recursive(n, r) == rooted_tree_count(n, r), n
+
+    def test_negative_size_rejected(self):
+        assert outcome(count_rooted_trees_recursive, -1, 3) == (
+            ValidationError, "need n >= 0 and r >= 2"
+        )

@@ -15,6 +15,8 @@ from hypertrees.parking import (
     simulate_parking,
 )
 
+from conftest import outcome
+
 
 @lru_cache(maxsize=None)
 def sorted_parking(k, r):
@@ -111,6 +113,20 @@ class TestCountParking:
     @pytest.mark.parametrize("k,r,expected", [(2, 2, 5), (3, 2, 49), (3, 1, 16), (0, 2, 1)])
     def test_values(self, k, r, expected):
         assert count_parking(k, r) == expected
+
+
+@pytest.mark.parametrize(
+    "f,args",
+    [
+        (is_r_parking, ((0,), 0)),
+        (lambda k, r: list(enumerate_parking(k, r)), (-1, 1)),
+        (count_parking, (-1, 1)),
+        (count_parking, (2, 0)),
+    ],
+    ids=["check-r0", "enumerate-k-1", "count-k-1", "count-r0"],
+)
+def test_one_domain_refusal(f, args):
+    assert outcome(f, *args) == (ValidationError, "need k >= 0 and r >= 1")
 
 
 def test_sequence_text_round_trip():

@@ -70,6 +70,12 @@ class TestDecode:
         with pytest.raises(ValidationError):
             decode(PruferCode(7, (1,)), m, 3)
 
+    def test_wrong_vertex_range_rejected(self):
+        m = parse_matching("1,2|3,4|5,6|7,8")
+        assert outcome(decode, PruferCode(8, (3, 3, 4)), m, 3) == (
+            ValidationError, "code is over [8], matching needs [9]"
+        )
+
     def test_broken_postcondition_is_internal_error(self, monkeypatch, capsys):
         monkeypatch.setattr("hypertrees.prufer.is_spanning_tree", lambda t: False)
         with pytest.raises(InternalError, match="do not form a spanning tree"):
@@ -148,11 +154,18 @@ class TestCountTreesForMatching:
             count_trees_for_matching(7, 3) * count_matchings_formula(6, 2) == 735
         )
 
-    @pytest.mark.parametrize("n,r", [(9, 4), (1, 0), (1, 1), (0, 3), (5, 1)])
-    def test_infeasible_rejected(self, n, r):
-        assert outcome(count_trees_for_matching, n, r) == (
-            ValidationError, f"no spanning trees on {n} vertices for r = {r}"
-        )
+    @pytest.mark.parametrize(
+        "n,r,message",
+        [
+            pytest.param(9, 4, "no spanning trees on 9 vertices for r = 4", id="9-4"),
+            pytest.param(1, 0, "uniformity must be at least 2", id="1-0"),
+            pytest.param(1, 1, "uniformity must be at least 2", id="1-1"),
+            pytest.param(0, 3, "vertex count must be positive", id="0-3"),
+            pytest.param(5, 1, "uniformity must be at least 2", id="5-1"),
+        ],
+    )
+    def test_infeasible_rejected(self, n, r, message):
+        assert outcome(count_trees_for_matching, n, r) == (ValidationError, message)
 
 
 class TestCodeText:
@@ -167,6 +180,9 @@ class TestCodeText:
     def test_out_of_range_entry(self):
         with pytest.raises(ValidationError):
             parse_code("10", 9)
+
+    def test_empty_vertex_set_rejected(self):
+        assert outcome(PruferCode, 0, ()) == (ValidationError, "vertex count must be positive")
 
 
 def _matching(perm, block_size):

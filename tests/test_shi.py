@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from hypertrees.cli import main
-from hypertrees.core import ResourceCapError
+from hypertrees.core import ResourceCapError, ValidationError
 from hypertrees.shi import (
     Hyperplane,
     Region,
@@ -16,6 +16,8 @@ from hypertrees.shi import (
     verify_triangle,
     witness_satisfies,
 )
+
+from conftest import outcome
 
 
 class TestBuildArrangement:
@@ -35,14 +37,14 @@ class TestBuildArrangement:
 class TestCountRegions:
     @pytest.mark.parametrize(
         "m,r,expected",
-        [(2, 1, 3), (3, 1, 16), (2, 2, 5), (3, 2, 49), (2, 3, 7), (1, 4, 1)],
+        [(2, 1, 3), (3, 1, 16), (2, 2, 5), (3, 2, 49), (2, 3, 7), (1, 4, 1), (0, 2, 1)],
     )
     def test_values(self, m, r, expected):
         assert count_regions(m, r) == expected
 
     def test_cap_refusal(self):
         with pytest.raises(ResourceCapError):
-            count_regions(3, 2, cap=10)
+            regions(3, 2, cap=10)
 
     def test_sign_vectors_distinct(self):
         regs = regions(3, 1)
@@ -98,11 +100,25 @@ class TestWitnessSatisfies:
         bogus = Region((1, 1), (Fraction(0), Fraction(0)))
         assert not witness_satisfies(bogus, hps)
 
+    def test_length_mismatch_rejected(self):
+        region = Region((1,), (Fraction(0), Fraction(0)))
+        assert outcome(witness_satisfies, region, build_arrangement(2, 1)) == (
+            ValidationError, "sign vector length does not match arrangement"
+        )
+
+
+@pytest.mark.parametrize(
+    "f,m,r", [(build_arrangement, -1, 1), (regions, 2, 0), (count_regions, -1, 2)]
+)
+def test_parking_domain_refusal(f, m, r):
+    # the Shi side of the triangle has the domain of the parking side
+    assert outcome(f, m, r) == (ValidationError, "need k >= 0 and r >= 1")
+
 
 class TestVerifyTriangle:
     @pytest.mark.parametrize(
         "k,r,value",
-        [(2, 1, 3), (3, 1, 16), (2, 2, 5), (3, 2, 49), (2, 3, 7), (1, 3, 1)],
+        [(2, 1, 3), (3, 1, 16), (2, 2, 5), (3, 2, 49), (2, 3, 7), (1, 3, 1), (0, 1, 1), (0, 3, 1)],
     )
     def test_three_way_equality(self, k, r, value):
         report = verify_triangle(k, r)
