@@ -45,7 +45,6 @@ from .shi import (
     Hyperplane,
     Region,
     build_arrangement,
-    count_regions,
     regions,
     verify_triangle,
     witness_satisfies,

@@ -22,14 +22,14 @@ from .core import (
     Matching,
     MatchingMismatchError,
     ValidationError,
-    _top_bfs,
+    _walk,
 )
 from .parking import is_r_parking
 
 
 def bfs_order(t: HyperTree) -> tuple[int, ...]:
     """Vertices of a spanning tree by hyperedge distance from its top vertex n, ties by label."""
-    dist = _top_bfs(t)[1]
+    dist = _walk(t)[1]
     return tuple(sorted(range(1, t.n + 1), key=dist.__getitem__))
 
 
@@ -50,7 +50,7 @@ def tree_to_parking(t: HyperTree) -> tuple[int, ...]:
     vertex, which ranks before every block vertex (for r = 1 as well).
     The one-vertex tree maps to the empty function.
     """
-    parent, dist = _top_bfs(t)
+    parent, dist = _walk(t)
     rank = {v: i for i, v in enumerate(sorted(range(1, t.n + 1), key=dist.__getitem__))}
     out = [0] * len(parent)
     for e, p in zip(t.edges, parent):

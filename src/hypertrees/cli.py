@@ -202,11 +202,11 @@ def _check_egf(_max_n: int) -> Iterator[tuple[bool, str]]:
 
 def _check_shi(_max_n: int) -> Iterator[tuple[bool, str]]:
     for k, r in ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (4, 2), (5, 1), (3, 3)):
-        report = shi.verify_triangle(k, r)
+        n_regions, n_parking, n_trees = shi.verify_triangle(k, r)
         yield (
-            report.ok,
+            n_regions == n_parking == n_trees,
             f"shi-triangle k={k} r={r} "
-            f"regions={report.regions} parking={report.parking} trees={report.trees}",
+            f"regions={n_regions} parking={n_parking} trees={n_trees}",
         )
 
 
@@ -238,12 +238,11 @@ def _cmd_verify(args) -> Iterator[str]:
 # the command table
 
 
-_TEXT_ARGS = ("tree", "matching", "code", "seq")
 _ARGS = {
     "json": dict(action="store_true", help="emit JSON output"),
     "cap": dict(type=int, default=core.DEFAULT_CAP, help="enumeration search cap"),
     **dict.fromkeys(("n", "r", "k"), dict(type=int, required=True)),
-    **dict.fromkeys(_TEXT_ARGS, dict(required=True)),
+    **dict.fromkeys(("tree", "matching", "code", "seq"), dict(required=True)),
 }
 
 _GROUPS = {
@@ -329,11 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _attach_text_values(argv: Sequence[str]) -> list[str]:
     """Write ``--seq -1,0`` as ``--seq=-1,0``.  Argparse takes a separate
-    value that starts with "-" for an option, so the library never sees it."""
-    options = {f"--{name}" for name in _TEXT_ARGS}
+    value that starts with "-" for an option, so the library never sees it;
+    no option here starts with a digit, so "-" then a digit is a value."""
     out: list[str] = []
     for token in argv:
-        if out and out[-1] in options and token.startswith("-") and not token.startswith("--"):
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and "=" not in prev and token[:1] == "-" and token[1:2].isdigit():
             out[-1] += "=" + token
         else:
             out.append(token)

@@ -141,16 +141,14 @@ def format_matching(m: Matching) -> str:
 # the spanning-tree predicate and brute-force enumeration
 
 
-def _walk(t: HyperTree) -> tuple[list[int], list[int]] | None:
-    """``(parent, dist)`` of a breadth-first search from the top vertex n,
-    or None when t is not a spanning tree.
+def _walk(t: HyperTree) -> tuple[list[int], list[int]]:
+    """``(parent, dist)`` of a breadth-first search from the top vertex n;
+    refuses anything but a spanning tree.
 
     ``parent[j]`` is the vertex of ``t.edges[j]`` nearest n and ``dist[v]``
     the hyperedge distance of v from n.
     """
     n, edges = t.n, t.edges
-    if t.r * len(edges) != n + len(edges) - 1:
-        return None
     incident: list[list[int]] = [[] for _ in range(n + 1)]
     for j, e in enumerate(edges):
         for v in e:
@@ -165,25 +163,30 @@ def _walk(t: HyperTree) -> tuple[list[int], list[int]] | None:
                 parent[j] = u
                 for v in edges[j]:
                     if v != u:
-                        if dist[v] >= 0:
-                            return None  # reached a second time: a cycle
+                        if dist[v] >= 0:  # reached a second time: a cycle
+                            raise ValidationError("input is not a spanning tree")
                         dist[v] = dist[u] + 1
                         queue.append(v)
-    return (parent, dist) if len(queue) == n else None
+    if len(queue) < n:  # some vertex unreached: disconnected
+        raise ValidationError("input is not a spanning tree")
+    return parent, dist
 
 
 def is_spanning_tree(t: HyperTree) -> bool:
     """True iff the vertex/hyperedge incidence graph of t is a spanning tree.
 
-    The incidence graph has n + k nodes and r*k arcs, and a tree has one
-    arc fewer than nodes, so r*k = n + k - 1 refuses most non-trees before
-    any search.  Then one breadth-first search from n: a vertex reached a
-    second time closes a cycle, and a search that ends before reaching all
-    n vertices leaves the graph disconnected (every hyperedge holds a
-    vertex, so reaching every vertex reaches every hyperedge).  Connected
-    and acyclic is a tree.  The single vertex with no edges counts as one.
+    One breadth-first search from n enters each hyperedge through the first
+    of its vertices reached and leaves through all the others, so it crosses
+    every arc of each hyperedge it enters.  If no vertex is reached a second
+    time, the arcs crossed form a tree.  A search that reaches all n vertices
+    enters every hyperedge (each holds a vertex), so that tree is the whole
+    incidence graph.  The single vertex with no edges counts as one.
     """
-    return _walk(t) is not None
+    try:
+        _walk(t)
+    except ValidationError:
+        return False
+    return True
 
 
 def tree_size(n: int, r: int) -> int | None:
@@ -315,20 +318,9 @@ def enumerate_matchings(m: int, b: int) -> Iterator[Matching]:
 # matching extraction
 
 
-def _top_bfs(t: HyperTree) -> tuple[list[int], list[int]]:
-    """``(parent, dist)`` of :func:`_walk`; refuses anything but a spanning tree."""
-    found = _walk(t)
-    if found is None:
-        raise ValidationError("input is not a spanning tree")
-    return found
-
-
 def _edge_blocks(t: HyperTree) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Each hyperedge's block (itself minus its parent vertex) and parent
-    vertex, for a spanning tree with at least one hyperedge."""
-    parent = _top_bfs(t)[0]
-    if not parent:
-        raise ValidationError("need at least one hyperedge to extract a matching")
+    """Each hyperedge's block (itself minus its parent vertex) and parent vertex."""
+    parent = _walk(t)[0]
     return [tuple([v for v in e if v != p]) for e, p in zip(t.edges, parent)], parent
 
 

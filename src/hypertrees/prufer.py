@@ -65,7 +65,7 @@ def encode(t: HyperTree, m: Matching) -> PruferCode:
     parent vertex, and a block is a leaf once no remaining hyperedge hangs on it.
     """
     blocks, parent = _edge_blocks(t)
-    if sorted(blocks) != list(m.blocks):
+    if m.block_size != t.r - 1 or sorted(blocks) != list(m.blocks):
         raise MatchingMismatchError("tree does not arise from this matching")
     n, k, index = t.n, len(blocks), m.index
     conn = [0] * k  # connection point of each block's hyperedge
@@ -93,7 +93,8 @@ def decode(code: PruferCode, m: Matching, r: int) -> HyperTree:
     At step i the block b_i is the smallest unfinished block that does not
     contain any later connection point s_j (j >= i); the hyperedge
     b_i + {s_i} is added and b_i marked finished.  Exactly one block
-    survives the k-1 steps and joins vertex n in the final hyperedge.
+    survives the k-1 steps and joins vertex n in the final hyperedge; the
+    empty matching takes the empty code and gives the one-vertex tree.
     """
     if m.block_size != r - 1:
         raise ValidationError(f"matching block size {m.block_size} != r-1 = {r - 1}")
@@ -101,8 +102,9 @@ def decode(code: PruferCode, m: Matching, r: int) -> HyperTree:
     if code.n != n:
         raise ValidationError(f"code is over [{code.n}], matching needs [{n}]")
     k = len(m.blocks)
-    if len(code.entries) != k - 1:
-        raise ValidationError(f"code length {len(code.entries)} != k-1 = {k - 1}")
+    if len(code.entries) != max(k - 1, 0):
+        want = f"k-1 = {k - 1}" if k else "0 for the empty matching"
+        raise ValidationError(f"code length {len(code.entries)} != {want}")
     later = [0] * k  # connection points s_j, j >= i, inside each block
     for s in code.entries:
         if s != n:
@@ -116,8 +118,8 @@ def decode(code: PruferCode, m: Matching, r: int) -> HyperTree:
             later[j] -= 1
             if not later[j]:
                 heappush(ready, j)
-    (last,) = ready  # all k blocks enter the heap once, when their count is 0
-    edges.append(m.blocks[last] + (n,))
+    for i in ready:  # one block left, none at k = 0
+        edges.append(m.blocks[i] + (n,))
     tree = HyperTree(n, r, tuple(edges))
     if not is_spanning_tree(tree):
         raise InternalError("decoded hyperedges do not form a spanning tree")

@@ -127,11 +127,6 @@ def regions(m: int, r: int, cap: int = DEFAULT_REGION_CAP) -> list[Region]:
     return [Region(signs, _witness(d)) for signs, d in partial]
 
 
-def count_regions(m: int, r: int) -> int:
-    """Exact number of regions of the arrangement in m coordinates."""
-    return len(regions(m, r))
-
-
 def witness_satisfies(region: Region, hyperplanes: tuple[Hyperplane, ...]) -> bool:
     """Strict check of a region's witness against its full sign vector."""
     if len(region.signs) != len(hyperplanes):
@@ -143,23 +138,7 @@ def witness_satisfies(region: Region, hyperplanes: tuple[Hyperplane, ...]) -> bo
     return True
 
 
-@dataclass(frozen=True)
-class TriangleReport:
-    """The three counts that one theorem chain forces to coincide."""
-
-    regions: int
-    parking: int
-    trees: int
-
-    @property
-    def ok(self) -> bool:
-        return self.regions == self.parking == self.trees
-
-
-def verify_triangle(k: int, r: int) -> TriangleReport:
-    """Region count vs parking count vs per-matching tree count at (k, r)."""
-    return TriangleReport(
-        regions=count_regions(k, r),
-        parking=count_parking(k, r),
-        trees=count_trees_for_matching(r * k + 1, r + 1),
-    )
+def verify_triangle(k: int, r: int) -> tuple[int, int, int]:
+    """``(regions, parking, trees)`` at (k, r): the region count, the parking
+    count and the per-matching tree count, which one theorem chain equates."""
+    return len(regions(k, r)), count_parking(k, r), count_trees_for_matching(r * k + 1, r + 1)

@@ -61,8 +61,6 @@ def extract_matching(t: HyperTree) -> Matching:
     vertices as a block, delete its vertices, repeat."""
     if not is_spanning_tree(t):
         raise ValidationError("input is not a spanning tree")
-    if t.n < t.r:
-        raise ValidationError("need at least one hyperedge to extract a matching")
     deleted = {t.n}
     remaining = [set(e) for e in t.edges]
     blocks: list[tuple[int, ...]] = []

@@ -187,12 +187,14 @@ class TestErrorsAndDeterminism:
         "command,message",
         [
             ("park check --seq -1,0 --r 1", "negative entry -1"),
+            ("park check --se -1,0 --r 1", "negative entry -1"),
             ("park simulate --seq -1,0", "negative entry -1"),
             ("bij to-tree --seq -1,0 --r 1", "negative entry -1"),
             ("prufer decode --n 9 --r 3 --matching 1,2|3,4|5,6|7,8 --code -3,3,4",
              "code entry -3 outside [1, 9]"),
         ],
-        ids=["park-check", "park-simulate", "bij-to-tree", "prufer-decode"],
+        ids=["park-check", "park-check-abbreviated", "park-simulate", "bij-to-tree",
+             "prufer-decode"],
     )
     def test_value_starting_with_dash_reaches_the_library(self, capsys, command, message):
         # argparse alone takes "-1,0" for an option and exits 2
@@ -201,6 +203,14 @@ class TestErrorsAndDeterminism:
 
     def test_missing_value_is_still_a_usage_error(self, capsys):
         assert run(capsys, "park", "check", "--seq", "--r", "1")[0] == 2
+
+    def test_dash_letter_is_a_usage_error(self, capsys):
+        # only "-" then a digit is taken for a value
+        assert run(capsys, "park", "check", "--seq", "-x", "--r", "1")[0] == 2
+
+    def test_help_after_a_flag_still_prints_help(self, capsys):
+        code, out, _ = run(capsys, "count", "--json", "-h")
+        assert code == 0 and out.startswith("usage: hypertrees count")
 
     def test_resource_cap_exit_code(self, capsys):
         code, _, err = run(capsys, "count", "--n", "13", "--r", "3", "--method", "brute", "--cap", "10")
@@ -246,8 +256,9 @@ class TestVerifyStreaming:
 # (exit code, sha256 of stdout) of every subcommand in text and JSON mode and of
 # the usage (2), invalid-input (3) and resource-cap (4) exits, all taken before
 # the CLI became table-driven, except the `count --r 2` and `count --r 1` rows,
-# set when uniformity 2 joined the domain, and the `shi regions --k 0` and
-# `--k -1` rows, set when the Shi side took k = 0.
+# set when uniformity 2 joined the domain, the `shi regions --k 0` and
+# `--k -1` rows, set when the Shi side took k = 0, and the `matching extract
+# --n 1` rows, set when the tree side took k = 0.
 EMPTY = hashlib.sha256(b"").hexdigest()
 T7 = "'1,2,3;3,4,7;3,5,6'"
 T9 = "'1,2,3;3,4,9;3,5,6;4,7,8'"
@@ -276,6 +287,10 @@ GOLDEN = [
      0, "f96527dea06e17973b755456245c3b0f4031266bbf57855236c40a97c721762f"),
     (f"matching extract --n 7 --r 3 --tree {T7} --json",
      0, "e9fa093a1a1570046d661b1ac69f1e1fd9520f1c906865b0d87c58af8faa1ac6"),
+    ("matching extract --n 1 --r 3 --tree ''",
+     0, "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"),
+    ("matching extract --n 1 --r 3 --tree '' --json",
+     0, "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
     ("matching count --m 6 --b 3",
      0, "917df3320d778ddbaa5c5c7742bc4046bf803c36ed2b050f30844ed206783469"),
     ("matching count --m 6 --b 3 --json",

@@ -219,11 +219,11 @@ class TestExtractMatching:
         with pytest.raises(ValidationError):
             extract_matching(parse_tree("1,2,3;4,5,6", 7, 3))
 
-    def test_rejects_single_vertex(self):
-        assert outcome(extract_matching, HyperTree(1, 3, ())) == (
-            ValidationError,
-            "need at least one hyperedge to extract a matching",
-        )
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_single_vertex_gives_empty_matching(self, r):
+        # the one-vertex tree arises from the one matching of the empty set
+        (empty,) = enumerate_matchings(0, r - 1)
+        assert extract_matching(HyperTree(1, r, ())) == empty
 
     @pytest.mark.parametrize("n,r", [(5, 3), (7, 3), (7, 4)])
     def test_each_edge_contains_one_block(self, n, r):

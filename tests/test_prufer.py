@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hypertrees.cli import main
 from hypertrees.core import (
+    HyperTree,
     InternalError,
     Matching,
     MatchingMismatchError,
@@ -142,6 +143,25 @@ def test_uniformity_2_is_the_textbook_code():
     assert len(trees) == n ** (n - 2)
     for t in trees:
         assert encode(t, singletons).entries == textbook_prufer(t.edges, n), t
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+class TestOneVertexTree:
+    def test_empty_code_round_trip(self, r):
+        t, empty = HyperTree(1, r, ()), Matching(r - 1, ())
+        assert encode(t, empty) == PruferCode(1, ())
+        assert decode(PruferCode(1, ()), empty, r) == t
+
+    def test_other_block_size_rejected(self, r):
+        assert outcome(encode, HyperTree(1, r, ()), Matching(r, ())) == (
+            MatchingMismatchError, "tree does not arise from this matching"
+        )
+
+    def test_nonempty_code_rejected(self, r):
+        # the expected length is 0, not k-1 = -1
+        assert outcome(decode, PruferCode(1, (1,)), Matching(r - 1, ()), r) == (
+            ValidationError, "code length 1 != 0 for the empty matching"
+        )
 
 
 class TestCountTreesForMatching:
