@@ -46,7 +46,6 @@ from .shi import (
     Region,
     build_arrangement,
     regions,
-    verify_triangle,
     witness_satisfies,
 )
 

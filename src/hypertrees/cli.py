@@ -202,7 +202,9 @@ def _check_egf(_max_n: int) -> Iterator[tuple[bool, str]]:
 
 def _check_shi(_max_n: int) -> Iterator[tuple[bool, str]]:
     for k, r in ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (4, 2), (5, 1), (3, 3)):
-        n_regions, n_parking, n_trees = shi.verify_triangle(k, r)
+        n_regions = len(shi.regions(k, r))
+        n_parking = parking.count_parking(k, r)
+        n_trees = prufer.count_trees_for_matching(r * k + 1, r + 1)
         yield (
             n_regions == n_parking == n_trees,
             f"shi-triangle k={k} r={r} "
@@ -271,11 +273,11 @@ _COMMANDS = (
       ("b", dict(type=int, required=True, help="block size")))),
     ("prufer encode", "tree to code",
      lambda a: [prufer.encode(core.parse_tree(a.tree, a.n, a.r),
-                              core.parse_matching(a.matching))],
+                              core.parse_matching(a.matching, a.r - 1))],
      ("json", "n", "r", "matching", "tree")),
     ("prufer decode", "code to tree",
      lambda a: [prufer.decode(prufer.parse_code(a.code, a.n),
-                              core.parse_matching(a.matching), a.r)],
+                              core.parse_matching(a.matching, a.r - 1), a.r)],
      ("json", "n", "r", "matching", "code")),
     ("park check", "sorted-rearrangement test",
      lambda a: [parking.is_r_parking(parking.parse_sequence(a.seq), a.r)],

@@ -126,11 +126,8 @@ def format_tree(t: HyperTree) -> str:
     return ";".join(",".join(map(str, e)) for e in t.edges)
 
 
-def parse_matching(text: str) -> Matching:
-    blocks = _int_groups(text, "|", "matching")
-    if not blocks:
-        raise ValidationError("empty matching text")
-    return Matching(len(blocks[0]), blocks)
+def parse_matching(text: str, b: int) -> Matching:
+    return Matching(b, _int_groups(text, "|", "matching"))
 
 
 def format_matching(m: Matching) -> str:

@@ -22,8 +22,7 @@ from itertools import combinations
 from math import inf
 
 from .core import ResourceCapError, ValidationError
-from .parking import _check_domain, count_parking
-from .prufer import count_trees_for_matching
+from .parking import _check_domain
 
 DEFAULT_REGION_CAP = 500_000
 
@@ -137,8 +136,3 @@ def witness_satisfies(region: Region, hyperplanes: tuple[Hyperplane, ...]) -> bo
             return False
     return True
 
-
-def verify_triangle(k: int, r: int) -> tuple[int, int, int]:
-    """``(regions, parking, trees)`` at (k, r): the region count, the parking
-    count and the per-matching tree count, which one theorem chain equates."""
-    return len(regions(k, r)), count_parking(k, r), count_trees_for_matching(r * k + 1, r + 1)

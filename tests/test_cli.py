@@ -9,7 +9,7 @@ import pytest
 
 from hypertrees import cli, core, egf, parking
 from hypertrees.cli import main
-from hypertrees.core import parse_matching, parse_tree
+from hypertrees.core import parse_tree
 
 
 def run(capsys, *argv):
@@ -100,6 +100,36 @@ class TestPrufer:
             "--matching", "1,3|2,4", "--tree", "1,2,5;3,4,5",
         )
         assert code == 3 and "invalid-input" in err
+
+    @pytest.mark.parametrize(
+        "command", ["decode --code 3,3,4", "encode --tree 1,2,3;3,4,9;3,5,6;4,7,8"],
+        ids=["decode", "encode"],
+    )
+    def test_block_size_comes_from_r(self, capsys, command):
+        # blocks are read at size r - 1 = 2, so the first block is the wrong one
+        argv = f"prufer {command} --n 9 --r 3 --matching 1,2,3|4,5,6|7,8".split()
+        assert run(capsys, *argv) == (
+            3, "", "error: invalid-input: block (1, 2, 3) has size 3, expected 2\n"
+        )
+
+
+def _printed(capsys, *argv) -> str:
+    """The one line a successful command prints, without its newline."""
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    return out.removesuffix("\n")
+
+
+@pytest.mark.parametrize("n,r", [(5, 3), (7, 4), (1, 2), (1, 3), (1, 4)])
+def test_cli_reads_back_what_it_prints(capsys, n, r):
+    # matching extract -> prufer encode -> prufer decode through printed text
+    size = ["--n", str(n), "--r", str(r)]
+    for t in core.enumerate_spanning_trees(n, r):
+        tree = core.format_tree(t)
+        matching = _printed(capsys, "matching", "extract", *size, "--tree", tree)
+        code = _printed(capsys, "prufer", "encode", *size, "--matching", matching, "--tree", tree)
+        decoded = _printed(capsys, "prufer", "decode", *size, "--matching", matching, "--code", code)
+        assert decoded == tree
 
 
 class TestPark:
@@ -257,8 +287,10 @@ class TestVerifyStreaming:
 # the usage (2), invalid-input (3) and resource-cap (4) exits, all taken before
 # the CLI became table-driven, except the `count --r 2` and `count --r 1` rows,
 # set when uniformity 2 joined the domain, the `shi regions --k 0` and
-# `--k -1` rows, set when the Shi side took k = 0, and the `matching extract
-# --n 1` rows, set when the tree side took k = 0.
+# `--k -1` rows, set when the Shi side took k = 0, the `matching extract
+# --n 1` rows, set when the tree side took k = 0, and the `prufer encode
+# --n 1` and `prufer decode --n 1` rows, set when `--matching` took its block
+# size from `--r`.
 EMPTY = hashlib.sha256(b"").hexdigest()
 T7 = "'1,2,3;3,4,7;3,5,6'"
 T9 = "'1,2,3;3,4,9;3,5,6;4,7,8'"
@@ -291,6 +323,14 @@ GOLDEN = [
      0, "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"),
     ("matching extract --n 1 --r 3 --tree '' --json",
      0, "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+    ("prufer encode --n 1 --r 3 --matching '' --tree ''",
+     0, "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"),
+    ("prufer encode --n 1 --r 3 --matching '' --tree '' --json",
+     0, "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+    ("prufer decode --n 1 --r 3 --matching '' --code ''",
+     0, "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"),
+    ("prufer decode --n 1 --r 3 --matching '' --code '' --json",
+     0, "0bc9ac974b9403936ff15d570771072739730124485c5872117ad2b0ac65a98a"),
     ("matching count --m 6 --b 3",
      0, "917df3320d778ddbaa5c5c7742bc4046bf803c36ed2b050f30844ed206783469"),
     ("matching count --m 6 --b 3 --json",

@@ -266,7 +266,7 @@ class TestCrossCount:
         [("1,3|2,4", 1), ("1,2|3,4", 0), ("1,4|2,5|3,6", 3), ("1,4|2,3", 0)],
     )
     def test_examples(self, text, expected):
-        assert cross_count(parse_matching(text)) == expected
+        assert cross_count(parse_matching(text, 2)) == expected
 
     def test_brute_force_agreement(self):
         for m in enumerate_matchings(6, 2):
@@ -280,7 +280,7 @@ class TestCrossCount:
 
     def test_rejects_wider_blocks(self):
         with pytest.raises(ValidationError):
-            cross_count(parse_matching("1,2,3|4,5,6"))
+            cross_count(parse_matching("1,2,3|4,5,6", 3))
 
 
 class TestTextFormats:
@@ -289,24 +289,24 @@ class TestTextFormats:
         assert format_tree(t) == FIG1  # canonical order on output
 
     def test_matching_round_trip(self):
-        m = parse_matching("3,4|1,2|5,6")
+        m = parse_matching("3,4|1,2|5,6", 2)
         assert format_matching(m) == "1,2|3,4|5,6"
 
     def test_duplicate_rejection(self):
         with pytest.raises(ValidationError):
             parse_tree("1,2,3;1,2,3", 5, 3)
         with pytest.raises(ValidationError):
-            parse_matching("1,2|2,3")
+            parse_matching("1,2|2,3", 2)
 
     def test_bad_tokens(self):
         with pytest.raises(ValidationError):
             parse_tree("1,2,x", 5, 3)
         with pytest.raises(ValidationError):
-            parse_matching("1,2|a,4")
+            parse_matching("1,2|a,4", 2)
 
     def test_empty_parts_skipped(self):
         assert parse_tree(";1,2,3;;1,4,5;", 5, 3).edges == ((1, 2, 3), (1, 4, 5))
-        assert parse_matching("|3,4||1,2|").blocks == ((1, 2), (3, 4))
+        assert parse_matching("|3,4||1,2|", 2).blocks == ((1, 2), (3, 4))
         assert parse_code(",3,,4,", 9).entries == (3, 4)
         assert parse_sequence(",1,,0") == (1, 0)
 
@@ -315,7 +315,8 @@ class TestTextFormats:
         [
             (lambda text: parse_tree(text, 5, 3), "1,2,x;3,4,5", "tree", "x"),
             (lambda text: parse_tree(text, 5, 3), "1,,2", "tree", ""),
-            (parse_matching, "1,2|a,4", "matching", "a"),
+            pytest.param(lambda text: parse_matching(text, 2), "1,2|a,4", "matching", "a",
+                         id="parse_matching-1,2|a,4-matching-a"),
             (lambda text: parse_code(text, 9), "3;4", "code", "3;4"),
             (parse_sequence, "1, 2,x", "sequence", "x"),
         ],
@@ -344,9 +345,13 @@ class TestMatchingType:
         (HyperTree, (0, 3, ()), "vertex count must be positive"),
         (HyperTree, (3, 1, ()), "uniformity must be at least 2"),
         (Matching, (2, ((1, 2), (3,))), "block (3,) has size 1, expected 2"),
-        (parse_matching, ("",), "empty matching text"),
     ],
-    ids=["tree-n0", "tree-r1", "matching-short-block", "matching-empty-text"],
+    ids=["tree-n0", "tree-r1", "matching-short-block"],
 )
 def test_construction_refusals(make, args, message):
     assert outcome(make, *args) == (ValidationError, message)
+
+
+@pytest.mark.parametrize("b", [1, 2, 3])
+def test_empty_text_is_the_empty_matching(b):
+    assert parse_matching("", b) == Matching(b, ())

@@ -33,46 +33,46 @@ from conftest import naive_spanning_trees, outcome
 
 class TestEncode:
     def test_two_edge_trees(self):
-        m = parse_matching("1,2|3,4")
+        m = parse_matching("1,2|3,4", 2)
         t = parse_tree("1,2,5;3,4,5", 5, 3)
         assert encode(t, m).entries == (5,)
         t = parse_tree("1,2,3;3,4,5", 5, 3)
         assert encode(t, m).entries == (3,)
 
     def test_nine_vertex_example(self):
-        m = parse_matching("1,2|3,4|5,6|7,8")
+        m = parse_matching("1,2|3,4|5,6|7,8", 2)
         t = parse_tree("1,2,3;3,5,6;4,7,8;3,4,9", 9, 3)
         assert encode(t, m).entries == (3, 3, 4)
 
     def test_mismatched_matching_rejected(self):
         t = parse_tree("1,2,5;3,4,5", 5, 3)
         with pytest.raises(MatchingMismatchError):
-            encode(t, parse_matching("1,3|2,4"))
+            encode(t, parse_matching("1,3|2,4", 2))
 
 
 class TestDecode:
     def test_two_edge_codes(self):
-        m = parse_matching("1,2|3,4")
+        m = parse_matching("1,2|3,4", 2)
         assert decode(PruferCode(5, (3,)), m, 3).edges == ((1, 2, 3), (3, 4, 5))
         assert decode(PruferCode(5, (5,)), m, 3).edges == ((1, 2, 5), (3, 4, 5))
 
     def test_nine_vertex_example(self):
-        m = parse_matching("1,2|3,4|5,6|7,8")
+        m = parse_matching("1,2|3,4|5,6|7,8", 2)
         t = decode(PruferCode(9, (3, 3, 4)), m, 3)
         assert t.edges == ((1, 2, 3), (3, 4, 9), (3, 5, 6), (4, 7, 8))
 
     def test_wrong_code_length_rejected(self):
-        m = parse_matching("1,2|3,4")
+        m = parse_matching("1,2|3,4", 2)
         with pytest.raises(ValidationError):
             decode(PruferCode(5, (3, 3)), m, 3)
 
     def test_wrong_block_size_rejected(self):
-        m = parse_matching("1,2,3|4,5,6")
+        m = parse_matching("1,2,3|4,5,6", 3)
         with pytest.raises(ValidationError):
             decode(PruferCode(7, (1,)), m, 3)
 
     def test_wrong_vertex_range_rejected(self):
-        m = parse_matching("1,2|3,4|5,6|7,8")
+        m = parse_matching("1,2|3,4|5,6|7,8", 2)
         assert outcome(decode, PruferCode(8, (3, 3, 4)), m, 3) == (
             ValidationError, "code is over [8], matching needs [9]"
         )
@@ -80,7 +80,7 @@ class TestDecode:
     def test_broken_postcondition_is_internal_error(self, monkeypatch, capsys):
         monkeypatch.setattr("hypertrees.prufer.is_spanning_tree", lambda t: False)
         with pytest.raises(InternalError, match="do not form a spanning tree"):
-            decode(PruferCode(5, (3,)), parse_matching("1,2|3,4"), 3)
+            decode(PruferCode(5, (3,)), parse_matching("1,2|3,4", 2), 3)
         argv = ["prufer", "decode", "--n", "5", "--r", "3", "--matching", "1,2|3,4", "--code", "3"]
         assert main(argv) == 1
         captured = capsys.readouterr()

@@ -7,14 +7,9 @@ import pytest
 
 from hypertrees.cli import main
 from hypertrees.core import ResourceCapError, ValidationError
-from hypertrees.shi import (
-    Hyperplane,
-    Region,
-    build_arrangement,
-    regions,
-    verify_triangle,
-    witness_satisfies,
-)
+from hypertrees.parking import count_parking
+from hypertrees.prufer import count_trees_for_matching
+from hypertrees.shi import Hyperplane, Region, build_arrangement, regions, witness_satisfies
 
 from conftest import outcome
 
@@ -107,7 +102,7 @@ class TestWitnessSatisfies:
 
 
 @pytest.mark.parametrize(
-    "f,m,r", [(build_arrangement, -1, 1), (regions, 2, 0), (verify_triangle, -1, 2)]
+    "f,m,r", [(build_arrangement, -1, 1), (regions, 2, 0), (regions, -1, 2)]
 )
 def test_parking_domain_refusal(f, m, r):
     # the Shi side of the triangle has the domain of the parking side
@@ -120,7 +115,8 @@ class TestVerifyTriangle:
         [(2, 1, 3), (3, 1, 16), (2, 2, 5), (3, 2, 49), (2, 3, 7), (1, 3, 1), (0, 1, 1), (0, 3, 1)],
     )
     def test_three_way_equality(self, k, r, value):
-        assert verify_triangle(k, r) == (value, value, value)
+        counts = len(regions(k, r)), count_parking(k, r), count_trees_for_matching(r * k + 1, r + 1)
+        assert counts == (value,) * 3
 
 
 # sha256 of `shi regions --witnesses` output: the sign vectors, their order
