@@ -2,7 +2,7 @@
 Prufer-style codes, r-parking functions, exact generating functions, and
 extended Shi arrangement regions, with brute-force oracles throughout."""
 
-from .bijection import bfs_order, consecutive_matching, parking_to_tree, tree_to_parking
+from .bijection import consecutive_matching, parking_to_tree, tree_to_parking
 from .core import (
     DEFAULT_CAP,
     HyperTree,
@@ -13,7 +13,6 @@ from .core import (
     ValidationError,
     count_matchings_formula,
     count_spanning_trees_formula,
-    cross_count,
     enumerate_matchings,
     enumerate_spanning_trees,
     extract_matching,

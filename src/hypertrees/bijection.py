@@ -27,12 +27,6 @@ from .core import (
 from .parking import is_r_parking
 
 
-def bfs_order(t: HyperTree) -> tuple[int, ...]:
-    """Vertices of a spanning tree by hyperedge distance from its top vertex n, ties by label."""
-    dist = _walk(t)[1]
-    return tuple(sorted(range(1, t.n + 1), key=dist.__getitem__))
-
-
 def consecutive_matching(k: int, block_size: int) -> Matching:
     """The matching {1..b | b+1..2b | ...} with k blocks of size b."""
     blocks = tuple(

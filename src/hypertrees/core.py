@@ -330,14 +330,3 @@ def extract_matching(t: HyperTree) -> Matching:
     """
     return Matching(t.r - 1, tuple(_edge_blocks(t)[0]))
 
-
-def cross_count(m: Matching) -> int:
-    """Number of crossing pairs {i,k},{j,l} with i<j<k<l in a pair matching."""
-    if m.block_size != 2:
-        raise ValidationError("crossings are defined only for block size 2")
-    count = 0
-    for (a1, a2), (b1, b2) in combinations(m.blocks, 2):
-        # blocks are ordered by minimum, so a1 < b1
-        if a1 < b1 < a2 < b2:
-            count += 1
-    return count

@@ -103,9 +103,7 @@ def egf_matchings(b: int, order: int) -> RationalSeries:
 
 def rooted_tree_count(n: int, r: int) -> int:
     """Number of rooted spanning trees on n labeled vertices."""
-    if n == 0:
-        return 0
-    return n * count_spanning_trees_formula(n, r)
+    return n * count_spanning_trees_formula(n or 1, r)  # n = 0 still checks r
 
 
 def egf_rooted_trees(r: int, order: int) -> RationalSeries:

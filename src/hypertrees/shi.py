@@ -130,9 +130,13 @@ def witness_satisfies(region: Region, hyperplanes: tuple[Hyperplane, ...]) -> bo
     """Strict check of a region's witness against its full sign vector."""
     if len(region.signs) != len(hyperplanes):
         raise ValidationError("sign vector length does not match arrangement")
-    for s, h in zip(region.signs, hyperplanes):
-        value = region.witness[h.i - 1] - region.witness[h.j - 1] - h.c
-        if s * value <= 0:
-            return False
+    w = region.witness
+    try:
+        for s, h in zip(region.signs, hyperplanes):
+            if s * (w[h.i - 1] - w[h.j - 1] - h.c) <= 0:
+                w[max(g.j for g in hyperplanes) - 1]  # a short witness is refused, not answered
+                return False
+    except IndexError:
+        raise ValidationError("witness has fewer coordinates than the arrangement") from None
     return True
 

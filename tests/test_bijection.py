@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypertrees.bijection import (
-    bfs_order,
     consecutive_matching,
     parking_to_tree,
     tree_to_parking,
@@ -27,23 +26,6 @@ from conftest import naive_spanning_trees, outcome
 ROUND_TRIP_SIZES = [(0, 1), (0, 2), (0, 3), (1, 1), (2, 1), (3, 1), (2, 2), (3, 2), (2, 3)]
 
 
-class TestBfsOrder:
-    def test_seven_vertex_example(self):
-        t = parse_tree("3,4,7;5,6,7;1,2,3", 7, 3)
-        assert bfs_order(t) == (7, 3, 4, 5, 6, 1, 2)
-
-    def test_single_edge(self):
-        assert bfs_order(parse_tree("1,2,3", 3, 3)) == (3, 1, 2)
-
-    def test_both_blocks_at_distance_one(self):
-        t = parse_tree("1,2,5;3,4,5", 5, 3)
-        assert bfs_order(t) == (5, 1, 2, 3, 4)
-
-    def test_rejects_non_tree(self):
-        with pytest.raises(ValidationError):
-            bfs_order(parse_tree("1,2,3;1,2,4", 5, 3))
-
-
 class TestTreeToParking:
     def test_worked_example(self):
         t = parse_tree("3,4,7;5,6,7;1,2,3", 7, 3)
@@ -59,6 +41,11 @@ class TestTreeToParking:
         t = parse_tree("1,3,5;2,4,5", 5, 3)
         with pytest.raises(MatchingMismatchError):
             tree_to_parking(t)
+
+    def test_rejects_non_tree(self):
+        assert outcome(tree_to_parking, parse_tree("1,2,3;1,2,4", 5, 3)) == (
+            ValidationError, "input is not a spanning tree"
+        )
 
     @pytest.mark.parametrize("k,r", ROUND_TRIP_SIZES)
     def test_image_is_r_parking(self, k, r):
@@ -186,7 +173,6 @@ class TestAgainstReference:
         t = parking_to_tree(a, r)
         assert t == reference.parking_to_tree(a, r)
         assert tree_to_parking(t) == reference.tree_to_parking(t) == a
-        assert bfs_order(t) == tuple(reference.bfs_vertices(t.n, t.edges))
 
     @given(st.sampled_from((1, 2, 3)), st.integers(1, 12), st.data())
     @settings(max_examples=200, deadline=None)

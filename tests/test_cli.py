@@ -290,7 +290,8 @@ class TestVerifyStreaming:
 # `--k -1` rows, set when the Shi side took k = 0, the `matching extract
 # --n 1` rows, set when the tree side took k = 0, and the `prufer encode
 # --n 1` and `prufer decode --n 1` rows, set when `--matching` took its block
-# size from `--r`.
+# size from `--r`, and the `egf --order 0` rows at `--r 1` and `--r 0`, set
+# when the rooted-tree series checked r at n = 0.
 EMPTY = hashlib.sha256(b"").hexdigest()
 T7 = "'1,2,3;3,4,7;3,5,6'"
 T9 = "'1,2,3;3,4,9;3,5,6;4,7,8'"
@@ -400,6 +401,8 @@ GOLDEN = [
     ("park enumerate --k 2 --r 0", 3, EMPTY),
     ("egf --r 3 --order 0 --verify", 3, EMPTY),
     ("egf --r 3 --order 0 --verify --json", 3, EMPTY),
+    ("egf --r 1 --order 0", 3, EMPTY),
+    ("egf --r 0 --order 0 --json", 3, EMPTY),
     ("shi regions --k -1 --r 1", 3, EMPTY),
     ("matching extract --n 7 --r 3 --tree '1,x;2'", 3, EMPTY),
     ("bij to-tree --seq 3,3 --r 1", 3, EMPTY),

@@ -11,7 +11,6 @@ from hypertrees.core import (
     ValidationError,
     count_matchings_formula,
     count_spanning_trees_formula,
-    cross_count,
     enumerate_matchings,
     enumerate_spanning_trees,
     extract_matching,
@@ -258,29 +257,6 @@ class TestExtractMatching:
         k = (n - 1) // (r - 1)
         assert set(fibers.values()) == {n ** (k - 1)}
         assert len(fibers) == count_matchings_formula(n - 1, r - 1)
-
-
-class TestCrossCount:
-    @pytest.mark.parametrize(
-        "text,expected",
-        [("1,3|2,4", 1), ("1,2|3,4", 0), ("1,4|2,5|3,6", 3), ("1,4|2,3", 0)],
-    )
-    def test_examples(self, text, expected):
-        assert cross_count(parse_matching(text, 2)) == expected
-
-    def test_brute_force_agreement(self):
-        for m in enumerate_matchings(6, 2):
-            flat = set(m.blocks)
-            expected = sum(
-                1
-                for i, j, k, l in combinations(range(1, 7), 4)
-                if (i, k) in flat and (j, l) in flat
-            )
-            assert cross_count(m) == expected
-
-    def test_rejects_wider_blocks(self):
-        with pytest.raises(ValidationError):
-            cross_count(parse_matching("1,2,3|4,5,6", 3))
 
 
 class TestTextFormats:

@@ -116,6 +116,11 @@ class TestRootedTreeSeries:
             ValidationError, f"series order must be non-negative, got {order}"
         )
 
+    @pytest.mark.parametrize("r", [1, 0, -3])
+    def test_uniformity_checked_at_size_zero(self, r):
+        refusal = (ValidationError, "uniformity must be at least 2")
+        assert outcome(rooted_tree_count, 0, r) == outcome(egf_rooted_trees, r, 0) == refusal
+
     def test_rooted_equals_n_times_unrooted_brute_force(self):
         for r in (3, 4):
             for n in range(1, 10):

@@ -100,6 +100,14 @@ class TestWitnessSatisfies:
             ValidationError, "sign vector length does not match arrangement"
         )
 
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_short_witness_rejected(self, size):
+        # x_1 = x_2 = 0 lies on the first hyperplane, so size 2 fails before x_3 is read
+        region = Region((1,) * 6, (Fraction(0),) * size)
+        assert outcome(witness_satisfies, region, build_arrangement(3, 1)) == (
+            ValidationError, "witness has fewer coordinates than the arrangement"
+        )
+
 
 @pytest.mark.parametrize(
     "f,m,r", [(build_arrangement, -1, 1), (regions, 2, 0), (regions, -1, 2)]
