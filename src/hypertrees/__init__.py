@@ -24,7 +24,6 @@ from .core import (
     tree_size,
 )
 from .egf import (
-    RationalSeries,
     compose,
     count_rooted_trees_recursive,
     egf_matchings,

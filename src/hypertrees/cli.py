@@ -79,24 +79,22 @@ def _cmd_park_enumerate(args):
 def _cmd_egf(args) -> Iterator[str]:
     # checked before any row is printed, so invalid arguments print nothing
     report = egf.verify_functional_equation(args.r, args.order) if args.verify else None
-    rows = [
-        {"n": i, "coefficient": f"{c.numerator}/{c.denominator}",
-         "t": egf.rooted_tree_count(i, args.r)}
-        for i, c in enumerate(egf.egf_rooted_trees(args.r, args.order).coeffs)
-    ]
-    if args.json:
-        yield json.dumps(rows)
+    rows = []
+    for i, t in enumerate(egf.egf_rooted_trees(args.r, args.order)):
+        c = Fraction(t, factorial(i))
+        rows.append({"n": i, "coefficient": f"{c.numerator}/{c.denominator}", "t": t})
+    verdict = report and (
+        "ok" if report.ok
+        else f"mismatch at {report.first_mismatch}: {report.lhs} != {report.rhs}"
+    )
+    if args.json:  # with --verify, one object holding the rows and the verdict
+        yield json.dumps({"rows": rows, "functional_equation": verdict} if report else rows)
     else:
         yield from (f"{row['n']}: {row['coefficient']} t={row['t']}" for row in rows)
-    if report is not None:
-        if report.ok:
-            yield f"functional-equation r={args.r} order={args.order}: ok"
-        else:
-            yield (
-                f"functional-equation r={args.r} order={args.order}: "
-                f"mismatch at {report.first_mismatch}: {report.lhs} != {report.rhs}"
-            )
-            raise _VerificationFailed
+        if report:
+            yield f"functional-equation r={args.r} order={args.order}: {verdict}"
+    if report and not report.ok:
+        raise _VerificationFailed
 
 
 def _cmd_shi_regions(args) -> list[str]:

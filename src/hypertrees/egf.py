@@ -4,89 +4,53 @@ The rooted-tree series T(x) = sum t_n x^n / n! satisfies the functional
 equation T = x * E(T), where E is the exponential generating function of
 block matchings (blocks of size r-1): removing the root of a rooted tree
 leaves a forest of rooted subtrees whose roots are grouped into blocks of
-size r-1, singletons at r = 2.  Series are truncated, with exact rationals.
+size r-1, singletons at r = 2.  A series truncated at order N is the tuple of
+its integer counts c_0..c_N, c_n being the coefficient of x^n / n!, so the
+labelled product and composition stay in the integers (Bergeron, Labelle
+and Leroux, *Combinatorial Species and Tree-like Structures*, 1998).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import comb, factorial
 from typing import Sequence
 
-from .core import (
-    ValidationError,
-    count_matchings_formula,
-    count_spanning_trees_formula,
-)
+from .core import ValidationError, count_matchings_formula, count_spanning_trees_formula
+
+Series = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RationalSeries:
-    """Truncated power series with exact rational coefficients c_0..c_N."""
+def _product(a: Sequence[int], b: Sequence[int]) -> Series:
+    """Labelled product to the shorter order: c_n = sum C(n,i) a_i b_(n-i)."""
+    nonzero = [(i, x) for i, x in enumerate(a) if x]
+    return tuple(
+        sum(comb(n, i) * x * b[n - i] for i, x in nonzero if i <= n)
+        for n in range(min(len(a), len(b)))
+    )
 
-    coeffs: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+def compose(f: Sequence[int], g: Sequence[int]) -> Series:
+    """f(g(x)) to the shorter order, as sum_j f_j g^j / j!; g(0) must be 0.
+
+    g^j / j! counts sets of j g-structures, and a set of j-1 and one more is
+    j times such a set, so each division is exact."""
+    for series in (f, g):
+        if not series:
             raise ValidationError("series needs at least the constant term")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __add__(self, other: "RationalSeries") -> "RationalSeries":
-        n = min(self.order, other.order)
-        return RationalSeries(
-            tuple(a + b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1]))
-        )
-
-    def __mul__(self, other: "RationalSeries") -> "RationalSeries":
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                out[i + j] += a * other.coeffs[j]
-        return RationalSeries(tuple(out))
-
-    def __pow__(self, e: int) -> "RationalSeries":
-        if e < 0:
-            raise ValidationError("negative series power")
-        result = constant(1, self.order)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def shift(self) -> "RationalSeries":
-        """Multiply by x at the same truncation order."""
-        return RationalSeries((Fraction(0),) + self.coeffs[:-1])
-
-
-def constant(c: int | Fraction, order: int) -> RationalSeries:
-    return RationalSeries((Fraction(c),) + (Fraction(0),) * order)
-
-
-def compose(f: RationalSeries, g: RationalSeries) -> RationalSeries:
-    """f(g(x)) up to the shared truncation order; g must have no constant term."""
-    if g.coeffs[0] != 0:
+        if not all(isinstance(c, int) for c in series):
+            raise ValidationError("series coefficients must be integer counts")
+    if g[0] != 0:
         raise ValidationError("composition needs a zero constant term")
-    n = min(f.order, g.order)
-    acc = constant(f.coeffs[n], n)
-    for c in reversed(f.coeffs[:n]):
-        acc = acc * g + constant(c, n)
-    return acc
-
-
-def _egf(counts: Sequence[int]) -> RationalSeries:
-    """The series whose coefficient of x^i is counts[i] / i!."""
-    return RationalSeries(tuple(Fraction(c, factorial(i)) for i, c in enumerate(counts)))
+    n = min(len(f), len(g))
+    power = (1,) + (0,) * (n - 1)  # g^0 / 0!
+    total = [f[0]] + [0] * (n - 1)
+    for j in range(1, n):
+        power = tuple(c // j for c in _product(power, g))
+        total = [t + f[j] * c for t, c in zip(total, power)]
+    return tuple(total)
 
 
 def _exponents(order: int) -> range:
@@ -96,9 +60,9 @@ def _exponents(order: int) -> range:
     return range(order + 1)
 
 
-def egf_matchings(b: int, order: int) -> RationalSeries:
-    """EGF of partitions into size-b blocks: coefficient of x^n is count/n!."""
-    return _egf([count_matchings_formula(i, b) for i in _exponents(order)])
+def egf_matchings(b: int, order: int) -> Series:
+    """Counts of partitions of 0..order points into size-b blocks."""
+    return tuple(count_matchings_formula(i, b) for i in _exponents(order))
 
 
 def rooted_tree_count(n: int, r: int) -> int:
@@ -106,8 +70,8 @@ def rooted_tree_count(n: int, r: int) -> int:
     return n * count_spanning_trees_formula(n or 1, r)  # n = 0 still checks r
 
 
-def egf_rooted_trees(r: int, order: int) -> RationalSeries:
-    return _egf([rooted_tree_count(i, r) for i in _exponents(order)])
+def egf_rooted_trees(r: int, order: int) -> Series:
+    return tuple(rooted_tree_count(i, r) for i in _exponents(order))
 
 
 @dataclass(frozen=True)
@@ -123,21 +87,26 @@ def verify_functional_equation(
 ) -> FunctionalEquationReport:
     """Check T = x * E(T) coefficientwise through the given order.
 
-    ``tree_counts`` may supply independently computed values of t_0..t_N
-    (e.g. from brute-force enumeration); by default the closed form is used.
+    In counts it reads t_n = n [E(T)]_(n-1), a mismatch reporting both sides
+    divided by n!.  ``tree_counts`` may supply independently computed values
+    of t_0..t_N (e.g. from brute-force enumeration); by default the closed
+    form is used.
     """
     if r < 2 or order < 1:
         raise ValidationError("need r >= 2 and order >= 1")
     if tree_counts is None:
-        lhs = egf_rooted_trees(r, order)
+        trees = egf_rooted_trees(r, order)
     else:
         if len(tree_counts) < order + 1:
             raise ValidationError("not enough tree counts for the requested order")
-        lhs = _egf(tree_counts[: order + 1])
-    rhs = compose(egf_matchings(r - 1, order), lhs).shift()
-    for i in range(order + 1):
-        if lhs.coeffs[i] != rhs.coeffs[i]:
-            return FunctionalEquationReport(False, i, lhs.coeffs[i], rhs.coeffs[i])
+        trees = tuple(tree_counts[: order + 1])
+    blocks = compose(egf_matchings(r - 1, order), trees)
+    for n, t in enumerate(trees):
+        rooted = n * blocks[n - 1] if n else 0
+        if t != rooted:
+            return FunctionalEquationReport(
+                False, n, Fraction(t, factorial(n)), Fraction(rooted, factorial(n))
+            )
     return FunctionalEquationReport(True)
 
 
@@ -151,7 +120,8 @@ def lagrange_coefficient(r: int, q: int) -> Fraction:
     if r < 2 or q < 1:
         raise ValidationError("need r >= 2 and q >= 1")
     n = (r - 1) * q + 1
-    return (egf_matchings(r - 1, n - 1) ** n).coeffs[n - 1]
+    power = reduce(_product, [egf_matchings(r - 1, n - 1)] * n)
+    return Fraction(power[n - 1], factorial(n - 1))
 
 
 # ---------------------------------------------------------------------------

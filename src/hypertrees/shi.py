@@ -131,12 +131,11 @@ def witness_satisfies(region: Region, hyperplanes: tuple[Hyperplane, ...]) -> bo
     if len(region.signs) != len(hyperplanes):
         raise ValidationError("sign vector length does not match arrangement")
     w = region.witness
-    try:
-        for s, h in zip(region.signs, hyperplanes):
-            if s * (w[h.i - 1] - w[h.j - 1] - h.c) <= 0:
-                w[max(g.j for g in hyperplanes) - 1]  # a short witness is refused, not answered
-                return False
-    except IndexError:
-        raise ValidationError("witness has fewer coordinates than the arrangement") from None
+    m = max((h.j for h in hyperplanes), default=len(w))  # m = 0, 1: no hyperplane
+    if len(w) != m:
+        side = "fewer" if len(w) < m else "more"
+        raise ValidationError(f"witness has {side} coordinates than the arrangement")
+    for s, h in zip(region.signs, hyperplanes):
+        if s * (w[h.i - 1] - w[h.j - 1] - h.c) <= 0:
+            return False
     return True
-

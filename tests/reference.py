@@ -1,6 +1,7 @@
-"""Test-only reference: the union-find spanning-tree predicate and the
-quadratic-and-worse Prufer codes and tree/parking bijection, kept as first
-written so the library versions can be compared with them output for output.
+"""Test-only reference: the union-find spanning-tree predicate, the
+quadratic-and-worse Prufer codes and tree/parking bijection, and series
+composition over rational coefficients, kept as first written so the library
+versions can be compared with them output for output.
 
 Each function follows the paper's description step by step: matching
 extraction by iterative deletion, a fresh leaf scan per encoding step, the
@@ -13,6 +14,7 @@ is the union-find below.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from hypertrees.core import (
@@ -199,3 +201,16 @@ def parking_to_tree(a: Sequence[int], r: int) -> HyperTree:
         block = tuple(range(r * i + 1, r * (i + 1) + 1))
         edges.append(block + (ranks[a[i]],))
     return HyperTree(n, r + 1, tuple(edges))
+
+
+def compose(f: Sequence[Fraction], g: Sequence[Fraction]) -> list[Fraction]:
+    """f(g(x)) on ordinary rational coefficients, to the shorter order, by
+    Horner's rule: acc <- acc * g + f_j from the top coefficient down."""
+    if g[0] != 0:
+        raise ValidationError("composition needs a zero constant term")
+    n = min(len(f), len(g))
+    acc = [Fraction(f[n - 1])] + [Fraction(0)] * (n - 1)
+    for c in reversed(f[: n - 1]):
+        acc = [sum(acc[i] * g[k - i] for i in range(k + 1)) for k in range(n)]
+        acc[0] += c
+    return acc

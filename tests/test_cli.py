@@ -189,6 +189,19 @@ class TestEgf:
         assert code == 5
         assert out.splitlines()[-1] == "functional-equation r=3 order=5: mismatch at 5: 19/30 != 5/8"
 
+    def test_json_verify_is_one_object(self, capsys):
+        code, out, _ = run(capsys, "egf", "--r", "3", "--order", "5", "--json", "--verify")
+        doc = json.loads(out)
+        assert code == 0 and doc["functional_equation"] == "ok"
+        assert doc["rows"][5] == {"n": 5, "coefficient": "5/8", "t": 75}
+
+    def test_json_verify_mismatch_exits_5(self, capsys, monkeypatch):
+        report = egf.FunctionalEquationReport(False, 5, Fraction(19, 30), Fraction(5, 8))
+        monkeypatch.setattr(egf, "verify_functional_equation", lambda r, order: report)
+        code, out, _ = run(capsys, "egf", "--r", "3", "--order", "5", "--json", "--verify")
+        assert code == 5
+        assert json.loads(out)["functional_equation"] == "mismatch at 5: 19/30 != 5/8"
+
 
 class TestShi:
     def test_regions_count(self, capsys):
@@ -290,8 +303,10 @@ class TestVerifyStreaming:
 # `--k -1` rows, set when the Shi side took k = 0, the `matching extract
 # --n 1` rows, set when the tree side took k = 0, and the `prufer encode
 # --n 1` and `prufer decode --n 1` rows, set when `--matching` took its block
-# size from `--r`, and the `egf --order 0` rows at `--r 1` and `--r 0`, set
-# when the rooted-tree series checked r at n = 0.
+# size from `--r`, the `egf --order 0` rows at `--r 1` and `--r 0`, set
+# when the rooted-tree series checked r at n = 0, and the `egf --r 4 --order 7
+# --json --verify` row, set when `--json --verify` became one JSON object
+# holding the rows and the functional-equation verdict.
 EMPTY = hashlib.sha256(b"").hexdigest()
 T7 = "'1,2,3;3,4,7;3,5,6'"
 T9 = "'1,2,3;3,4,9;3,5,6;4,7,8'"
@@ -373,7 +388,7 @@ GOLDEN = [
     ("egf --r 4 --order 7 --json",
      0, "a1bcdfecaa46b95da5b4f3daadb3ebfd5b55a24cdb58e681a480589f06014c26"),
     ("egf --r 4 --order 7 --json --verify",
-     0, "32c2b412ab684a374474df6e3649c0432258e7f31a237d29b59066b6f9ecfc89"),
+     0, "da8e0d02db15f3643bfa0838d83fba2d4171b13321d6ef4e0af8f8f7f4349870"),
     ("shi regions --k 3 --r 2",
      0, "6169555d9248be7e184f52250129b0d66c9932af74f4ac7bc716c20013fca362"),
     ("shi regions --k 3 --r 2 --witnesses",
@@ -418,3 +433,10 @@ GOLDEN = [
 def test_golden_output(capsys, command, exit_code, digest):
     code, out, _ = run(capsys, *shlex.split(command))
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (exit_code, digest)
+
+
+@pytest.mark.parametrize("command", [g[0] for g in GOLDEN if "--json" in g[0]])
+def test_json_output_lines_are_json(capsys, command):
+    _, out, _ = run(capsys, *shlex.split(command))
+    for line in out.splitlines():
+        json.loads(line)

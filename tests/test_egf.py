@@ -2,12 +2,12 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypertrees.core import ValidationError, enumerate_spanning_trees
 from hypertrees.egf import (
-    RationalSeries,
     compose,
-    constant,
     count_rooted_trees_recursive,
     egf_matchings,
     egf_rooted_trees,
@@ -16,80 +16,66 @@ from hypertrees.egf import (
     verify_functional_equation,
 )
 
+import reference
 from conftest import outcome
 
-
-class TestRationalSeries:
-    def test_exact_arithmetic(self):
-        f = RationalSeries((Fraction(1), Fraction(1, 3), Fraction(1, 7)))
-        g = RationalSeries((Fraction(0), Fraction(1, 2), Fraction(0)))
-        prod = f * g
-        assert prod.coeffs == (Fraction(0), Fraction(1, 2), Fraction(1, 6))
-
-    def test_power(self):
-        f = RationalSeries((Fraction(1), Fraction(1), Fraction(0), Fraction(0)))
-        assert (f**3).coeffs == (Fraction(1), Fraction(3), Fraction(3), Fraction(1))
-
-    def test_shift(self):
-        f = RationalSeries((Fraction(1), Fraction(2), Fraction(3)))
-        assert f.shift().coeffs == (Fraction(0), Fraction(1), Fraction(2))
-
-    @pytest.mark.parametrize(
-        "f,args,message",
-        [
-            (RationalSeries, ((),), "series needs at least the constant term"),
-            (pow, (RationalSeries((1,)), -1), "negative series power"),
-        ],
-        ids=["no-coefficients", "negative-power"],
-    )
-    def test_refusals(self, f, args, message):
-        assert outcome(f, *args) == (ValidationError, message)
+# a series is the tuple of its counts: c_n is the coefficient of x^n / n!
 
 
 class TestCompose:
     def test_identity_substitution(self):
-        f = RationalSeries((Fraction(1), Fraction(1), Fraction(0)))
-        x = RationalSeries((Fraction(0), Fraction(1), Fraction(0)))
-        assert compose(f, x).coeffs == f.coeffs
+        f = (1, 1, 0)
+        assert compose(f, (0, 1, 0)) == f
 
     def test_exp_like_in_x_squared(self):
-        n = 6
-        exp_like = RationalSeries(tuple(Fraction(1, factorial(j)) for j in range(n + 1)))
-        x2 = constant(0, n) + RationalSeries(
-            tuple(Fraction(1) if i == 2 else Fraction(0) for i in range(n + 1))
-        )
-        got = compose(exp_like, x2)
-        for i in range(n + 1):
-            expected = Fraction(1, factorial(i // 2)) if i % 2 == 0 else Fraction(0)
-            assert got.coeffs[i] == expected
+        # e^x has every count 1 and x^2 / 2 is one pair, so e^(x^2 / 2)
+        # counts perfect matchings: (n - 1)!! at even n
+        assert compose((1,) * 7, (0, 0, 1, 0, 0, 0, 0)) == (1, 0, 1, 0, 3, 0, 15)
 
     def test_nonzero_constant_term_rejected(self):
-        f = constant(1, 3)
-        with pytest.raises(ValidationError):
-            compose(f, constant(1, 3))
+        assert outcome(compose, (1, 0, 0, 0), (1, 0, 0, 0)) == (
+            ValidationError, "composition needs a zero constant term"
+        )
 
     def test_compose_commutes_with_truncation(self):
-        f = RationalSeries(tuple(Fraction(i + 1, 3) for i in range(8)))
-        g = RationalSeries((Fraction(0),) + tuple(Fraction(1, i + 2) for i in range(7)))
-        full = compose(f, g)
-        small = compose(
-            RationalSeries(f.coeffs[:5]), RationalSeries(g.coeffs[:5])
+        f = tuple(i + 1 for i in range(8))
+        g = (0,) + tuple(3 * i - 7 for i in range(7))
+        assert compose(f, g)[:5] == compose(f[:5], g[:5])
+
+    @pytest.mark.parametrize("f,g", [((), (0,)), ((1,), ())], ids=["f", "g"])
+    def test_empty_series_rejected(self, f, g):
+        assert outcome(compose, f, g) == (
+            ValidationError, "series needs at least the constant term"
         )
-        assert full.coeffs[:5] == small.coeffs
+
+    @pytest.mark.parametrize(
+        "f,g", [((1, Fraction(1, 2)), (0, 1)), ((1, 1), (0, 1.0))], ids=["fraction", "float"]
+    )
+    def test_non_integer_entry_rejected(self, f, g):
+        assert outcome(compose, f, g) == (
+            ValidationError, "series coefficients must be integer counts"
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(-50, 50), min_size=1, max_size=11),
+        st.lists(st.integers(-50, 50), max_size=10),
+    )
+    def test_matches_rational_horner(self, f, g_tail):
+        g = [0] + g_tail
+        rational = reference.compose(
+            [Fraction(c, factorial(i)) for i, c in enumerate(f)],
+            [Fraction(c, factorial(i)) for i, c in enumerate(g)],
+        )
+        assert compose(f, g) == tuple(factorial(n) * c for n, c in enumerate(rational))
 
 
 class TestMatchingSeries:
     def test_pair_blocks(self):
-        e = egf_matchings(2, 6)
-        assert e.coeffs[0] == 1
-        assert e.coeffs[1] == 0
-        assert e.coeffs[2] == Fraction(1, 2)
-        assert e.coeffs[4] == Fraction(3, 24)
-        assert e.coeffs[6] == Fraction(15, 720)
+        assert egf_matchings(2, 6) == (1, 0, 1, 0, 3, 0, 15)
 
     def test_triple_blocks(self):
-        e = egf_matchings(3, 3)
-        assert e.coeffs[3] == Fraction(1, 6)
+        assert egf_matchings(3, 3)[3] == 1
 
 
 class TestRootedTreeSeries:
@@ -155,6 +141,15 @@ class TestFunctionalEquation:
         assert report.first_mismatch == 5
         assert report.lhs == Fraction(76, factorial(5))
         assert report.rhs == Fraction(75, factorial(5))
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_order_100(self, r):
+        assert verify_functional_equation(r, 100).ok
+
+    def test_non_integer_tree_count_rejected(self):
+        assert outcome(verify_functional_equation, 3, 2, [0, 1, Fraction(1, 2)]) == (
+            ValidationError, "series coefficients must be integer counts"
+        )
 
     def test_too_few_tree_counts_rejected(self):
         assert outcome(verify_functional_equation, 3, 9, [0] * 5) == (

@@ -108,6 +108,13 @@ class TestWitnessSatisfies:
             ValidationError, "witness has fewer coordinates than the arrangement"
         )
 
+    def test_long_witness_rejected(self):
+        region = regions(3, 1)[0]
+        longer = Region(region.signs, region.witness + (Fraction(0),))
+        assert outcome(witness_satisfies, longer, build_arrangement(3, 1)) == (
+            ValidationError, "witness has more coordinates than the arrangement"
+        )
+
 
 @pytest.mark.parametrize(
     "f,m,r", [(build_arrangement, -1, 1), (regions, 2, 0), (regions, -1, 2)]
