@@ -217,38 +217,24 @@ def enumerate_spanning_trees(
             f"search space C({n_edges},{k}) exceeds cap {cap}"
         )
     all_edges = list(combinations(range(1, n + 1), r))
-    parent = list(range(n + 1))
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    chosen: list[tuple[int, ...]] = []
-
-    def extend(start: int) -> Iterator[HyperTree]:
+    def extend(start: int, comp: Sequence[int], chosen: tuple) -> Iterator[HyperTree]:
+        # comp[v]: a vertex of v's component in the forest ``chosen``
         if len(chosen) == k:
-            yield HyperTree(n, r, tuple(chosen))
+            yield HyperTree(n, r, chosen)
             return
         for idx in range(start, len(all_edges)):
             edge = all_edges[idx]
-            roots = []
+            labels = []
             for v in edge:
-                rv = find(v)
-                if rv in roots:
+                if comp[v] in labels:
                     break
-                roots.append(rv)
+                labels.append(comp[v])
             else:
-                base = roots[0]
-                for rv in roots[1:]:
-                    parent[rv] = base
-                chosen.append(edge)
-                yield from extend(idx + 1)
-                chosen.pop()
-                for rv in roots[1:]:
-                    parent[rv] = rv
+                merged = [edge[0] if c in labels else c for c in comp]
+                yield from extend(idx + 1, merged, chosen + (edge,))
 
-    yield from extend(0)
+    yield from extend(0, range(n + 1), ())
 
 
 # ---------------------------------------------------------------------------

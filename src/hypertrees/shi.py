@@ -131,11 +131,14 @@ def witness_satisfies(region: Region, hyperplanes: tuple[Hyperplane, ...]) -> bo
     if len(region.signs) != len(hyperplanes):
         raise ValidationError("sign vector length does not match arrangement")
     w = region.witness
-    m = max((h.j for h in hyperplanes), default=len(w))  # m = 0, 1: no hyperplane
+    m = max((h.j for h in hyperplanes), default=min(len(w), 1))  # m = 0, 1: no hyperplane
     if len(w) != m:
         side = "fewer" if len(w) < m else "more"
         raise ValidationError(f"witness has {side} coordinates than the arrangement")
+    if not set(region.signs) <= {1, -1}:
+        raise ValidationError("signs must be +1 or -1")
     for s, h in zip(region.signs, hyperplanes):
-        if s * (w[h.i - 1] - w[h.j - 1] - h.c) <= 0:
+        d = w[h.i - 1] - w[h.j - 1]
+        if not (d > h.c if s == 1 else d < h.c):
             return False
     return True

@@ -306,7 +306,9 @@ class TestVerifyStreaming:
 # size from `--r`, the `egf --order 0` rows at `--r 1` and `--r 0`, set
 # when the rooted-tree series checked r at n = 0, and the `egf --r 4 --order 7
 # --json --verify` row, set when `--json --verify` became one JSON object
-# holding the rows and the functional-equation verdict.
+# holding the rows and the functional-equation verdict, and the `enumerate
+# --n 10 --r 4` row (28,000 trees), taken from the union-find enumerator
+# before the search passed component labels down instead.
 EMPTY = hashlib.sha256(b"").hexdigest()
 T7 = "'1,2,3;3,4,7;3,5,6'"
 T9 = "'1,2,3;3,4,9;3,5,6;4,7,8'"
@@ -330,6 +332,8 @@ GOLDEN = [
      0, "a4460c205ca139051a20457402d2ca3e05530398128054c13b6ddac262c7e5f2"),
     ("enumerate --n 7 --r 4 --json",
      0, "e8e5920f7eb267d6dee91aa03f08c66eb058eb1b9dd599ff731da9e712a6195c"),
+    ("enumerate --n 10 --r 4",
+     0, "d9667e8d4240fdc408d08ce16e2b33bd8e60768679c8ef03c81fdd5ec35a1a52"),
     ("enumerate --n 4 --r 3", 0, EMPTY),
     (f"matching extract --n 7 --r 3 --tree {T7}",
      0, "f96527dea06e17973b755456245c3b0f4031266bbf57855236c40a97c721762f"),

@@ -1,4 +1,4 @@
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -114,9 +114,22 @@ class TestEnumerateSpanningTrees:
         assert list(enumerate_spanning_trees(4, 3)) == []
         assert list(enumerate_spanning_trees(9, 4)) == []
 
-    def test_matches_naive_oracle(self):
-        for n, r in ((7, 4), (5, 2), (6, 2)):
+    def test_matches_naive_oracle(self, trees_7_3):
+        assert list(enumerate_spanning_trees(7, 3)) == list(trees_7_3)
+        for n, r in ((7, 4), (5, 2), (6, 2), (4, 2), (3, 2), (2, 2), (1, 2), (1, 3)):
             assert list(enumerate_spanning_trees(n, r)) == list(naive_spanning_trees(n, r))
+
+    def test_generators_share_no_state(self):
+        # each search node holds its own component labels, so interleaved
+        # and abandoned searches do not disturb one another
+        naive = list(naive_spanning_trees(6, 2))
+        first, second = enumerate_spanning_trees(6, 2), enumerate_spanning_trees(6, 2)
+        interleaved = list(zip(first, second))
+        assert [a for a, _ in interleaved] == [b for _, b in interleaved] == naive
+        closed = enumerate_spanning_trees(6, 2)
+        assert list(islice(closed, 10)) == naive[:10]
+        closed.close()
+        assert list(enumerate_spanning_trees(6, 2)) == naive
 
     def test_lexicographic_order(self, trees_7_3):
         edge_sets = [t.edges for t in trees_7_3]

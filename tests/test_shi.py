@@ -115,6 +115,23 @@ class TestWitnessSatisfies:
             ValidationError, "witness has more coordinates than the arrangement"
         )
 
+    @pytest.mark.parametrize("m", [0, 1])
+    @pytest.mark.parametrize("size", [0, 1, 2, 5])
+    def test_witness_length_without_hyperplanes(self, m, size):
+        # no hyperplane names a coordinate, so the arrangement has at most one
+        region = Region((), (Fraction(0),) * size)
+        expected = True if size <= 1 else (
+            ValidationError, "witness has more coordinates than the arrangement"
+        )
+        assert outcome(witness_satisfies, region, build_arrangement(m, 1)) == expected
+
+    @pytest.mark.parametrize("signs", [(2, 2), (0, 0)])
+    def test_sign_outside_plus_minus_one_rejected(self, signs):
+        region = Region(signs, (Fraction(5), Fraction(0)))
+        assert outcome(witness_satisfies, region, build_arrangement(2, 1)) == (
+            ValidationError, "signs must be +1 or -1"
+        )
+
 
 @pytest.mark.parametrize(
     "f,m,r", [(build_arrangement, -1, 1), (regions, 2, 0), (regions, -1, 2)]
