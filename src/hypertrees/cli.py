@@ -200,11 +200,13 @@ def _check_egf(_max_n: int) -> Iterator[tuple[bool, str]]:
 
 def _check_shi(_max_n: int) -> Iterator[tuple[bool, str]]:
     for k, r in ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (4, 2), (5, 1), (3, 3)):
-        n_regions = len(shi.regions(k, r))
+        regs, hyperplanes = shi.regions(k, r), shi.build_arrangement(k, r)
+        witnessed = all(shi.witness_satisfies(reg, hyperplanes) for reg in regs)
+        n_regions = len(regs)
         n_parking = parking.count_parking(k, r)
         n_trees = prufer.count_trees_for_matching(r * k + 1, r + 1)
         yield (
-            n_regions == n_parking == n_trees,
+            witnessed and n_regions == n_parking == n_trees,
             f"shi-triangle k={k} r={r} "
             f"regions={n_regions} parking={n_parking} trees={n_trees}",
         )

@@ -254,10 +254,12 @@ def count_matchings_formula(m: int, b: int) -> int:
         raise ValidationError("negative ground-set size")
     if m % b != 0:
         return 0
-    out = 1
-    for j in range(1, m // b + 1):
-        out *= math.comb(j * b - 1, b - 1)
-    return out
+    factors = [math.comb(j * b - 1, b - 1) for j in range(1, m // b + 1)]
+    # multiply in pairwise rounds, so operands of equal size meet: one running
+    # product would be quadratic in the digit count
+    while len(factors) > 1:
+        factors = [math.prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
+    return math.prod(factors)
 
 
 def count_spanning_trees_formula(n: int, r: int) -> int:

@@ -12,6 +12,12 @@ in a difference-bound matrix (DBM) closed under shortest paths, which shows
 at once whether a new interval is consistent with them: every kept branch
 is a region.  A rational witness is read off the closed bounds with the
 last coordinate pinned to zero.
+
+Every finite bound is an integer, and x_v is placed at the midpoint of two
+values whose denominators divide 2^(v-1), or one step past one of them, so
+its own denominator divides 2^v and the whole witness lies on the grid
+2^-(m-1) Z^m: it is placed in the integers 2^(m-1) x_v and checked over one
+common denominator.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import inf
+from math import inf, lcm
+from numbers import Rational
 
 from .core import ResourceCapError, ValidationError
 from .parking import _check_domain
@@ -78,18 +85,25 @@ def _tighten(d: Bounds, i: int, j: int, upper: float, lower: float) -> Bounds:
 def _witness(d: Bounds) -> tuple[Fraction, ...]:
     """Pin x_m = 0, then place x_1, x_2, .. in turn at the midpoint of the
     interval the closed bounds leave open given the coordinates placed so
-    far, or one step past its finite end when the other end is open."""
+    far, or one step past its finite end when the other end is open.
+
+    Every point is scaled by S = 2^(m-1), so a bound d becomes S*d and the
+    point p_v = S*x_v is an integer: the ends p_a -/+ S*d of x_v's interval
+    are multiples of 2^(m-v), even for v <= m-1, so their midpoint is exact.
+    Only the returned coordinates are Fractions.
+    """
     m = len(d)
-    point = [Fraction(0)] * m
+    scale = 1 << max(m - 1, 0)
+    point = [0] * m
     for v in range(m - 1):
         placed = (*range(v), m - 1)
-        lo = max(point[a] - d[a][v] for a in placed)
-        hi = min(point[a] + d[v][a] for a in placed)
+        lo = max(point[a] - scale * d[a][v] for a in placed)
+        hi = min(point[a] + scale * d[v][a] for a in placed)
         if lo > -inf and hi < inf:
-            point[v] = (lo + hi) / 2
+            point[v] = (lo + hi) // 2
         else:
-            point[v] = lo + 1 if lo > -inf else hi - 1
-    return tuple(point)
+            point[v] = lo + scale if lo > -inf else hi - scale
+    return tuple(Fraction(p, scale) for p in point)
 
 
 def regions(m: int, r: int, cap: int = DEFAULT_REGION_CAP) -> list[Region]:
@@ -127,7 +141,8 @@ def regions(m: int, r: int, cap: int = DEFAULT_REGION_CAP) -> list[Region]:
 
 
 def witness_satisfies(region: Region, hyperplanes: tuple[Hyperplane, ...]) -> bool:
-    """Strict check of a region's witness against its full sign vector."""
+    """Strict check of a region's witness against its full sign vector, in
+    integers: x_i - x_j > c as D*x_i - D*x_j > D*c, D a common denominator."""
     if len(region.signs) != len(hyperplanes):
         raise ValidationError("sign vector length does not match arrangement")
     w = region.witness
@@ -137,8 +152,12 @@ def witness_satisfies(region: Region, hyperplanes: tuple[Hyperplane, ...]) -> bo
         raise ValidationError(f"witness has {side} coordinates than the arrangement")
     if not set(region.signs) <= {1, -1}:
         raise ValidationError("signs must be +1 or -1")
+    if not all(isinstance(x, Rational) for x in w):
+        raise ValidationError("witness entries must be rational")
+    den = lcm(*(x.denominator for x in w))
+    scaled = [x.numerator * (den // x.denominator) for x in w]
     for s, h in zip(region.signs, hyperplanes):
-        d = w[h.i - 1] - w[h.j - 1]
-        if not (d > h.c if s == 1 else d < h.c):
+        diff, c = scaled[h.i - 1] - scaled[h.j - 1], h.c * den
+        if not (diff > c if s == 1 else diff < c):
             return False
     return True

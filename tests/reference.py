@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from fractions import Fraction
+from math import inf
 from typing import Iterable, Sequence
 
 from hypertrees.core import (
@@ -214,3 +215,20 @@ def compose(f: Sequence[Fraction], g: Sequence[Fraction]) -> list[Fraction]:
         acc = [sum(acc[i] * g[k - i] for i in range(k + 1)) for k in range(n)]
         acc[0] += c
     return acc
+
+
+def shi_witness(d: list[list[float]]) -> tuple[Fraction, ...]:
+    """Pin x_m = 0, then place x_1, x_2, .. in turn at the midpoint of the
+    interval the closed bounds ``d`` leave open given the coordinates placed
+    so far, or one step past its finite end when the other end is open."""
+    m = len(d)
+    point = [Fraction(0)] * m
+    for v in range(m - 1):
+        placed = (*range(v), m - 1)
+        lo = max(point[a] - d[a][v] for a in placed)
+        hi = min(point[a] + d[v][a] for a in placed)
+        if lo > -inf and hi < inf:
+            point[v] = (lo + hi) / 2
+        else:
+            point[v] = lo + 1 if lo > -inf else hi - 1
+    return tuple(point)

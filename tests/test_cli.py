@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypertrees import cli, core, egf, parking
+from hypertrees import cli, core, egf, parking, shi
 from hypertrees.cli import main
 from hypertrees.core import parse_tree
 
@@ -284,6 +284,21 @@ class TestVerifyStreaming:
         assert code == 5
         assert "FAIL egf-lagrange k=1 value=0" in out.splitlines()
         assert out.endswith("total=15 failures=4\n")
+
+    def test_witness_outside_its_region_fails_the_row(self, capsys, monkeypatch):
+        # x = 0 lies on every hyperplane x_i - x_j = 0, so each row's first
+        # region fails its witness check while every count stays right
+        found = shi.regions
+
+        def regions(k, r):
+            first, *rest = found(k, r)
+            return [shi.Region(first.signs, (Fraction(0),) * k), *rest]
+
+        monkeypatch.setattr(shi, "regions", regions)
+        code, out, _ = run(capsys, "verify", "--suite", "shi")
+        assert code == 5
+        assert "FAIL shi-triangle k=4 r=2 regions=729 parking=729 trees=729" in out.splitlines()
+        assert out.endswith("total=8 failures=8\n")
 
     def test_counts_stop_where_the_cap_refuses(self, capsys):
         # r=3, n=11 searches C(165,5) > core.DEFAULT_CAP edge sets, so the r=3

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations, islice, permutations
 
 import pytest
@@ -167,6 +168,17 @@ class TestCountFormulas:
     )
     def test_matching_counts(self, m, b, expected):
         assert count_matchings_formula(m, b) == expected
+
+    @pytest.mark.parametrize(
+        "m,b",
+        [(0, 1), (0, 3), (1, 1), (7, 1), (2, 2), (6, 3), (12, 2), (999, 3), (3000, 2), (2400, 5)],
+    )
+    def test_matching_count_equals_running_product(self, m, b):
+        # 0, 1, 2, 6, 7 and hundreds of factors: odd and even counts in the rounds
+        running = 1
+        for j in range(1, m // b + 1):
+            running *= math.comb(j * b - 1, b - 1)
+        assert count_matchings_formula(m, b) == running
 
     @pytest.mark.parametrize(
         "n,r,expected",

@@ -1,10 +1,14 @@
 import hashlib
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import inf
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hypertrees import shi
 from hypertrees.cli import main
 from hypertrees.core import ResourceCapError, ValidationError
 from hypertrees.parking import count_parking
@@ -12,6 +16,7 @@ from hypertrees.prufer import count_trees_for_matching
 from hypertrees.shi import Hyperplane, Region, build_arrangement, regions, witness_satisfies
 
 from conftest import outcome
+from reference import shi_witness
 
 
 class TestBuildArrangement:
@@ -132,6 +137,49 @@ class TestWitnessSatisfies:
             ValidationError, "signs must be +1 or -1"
         )
 
+    @pytest.mark.parametrize("entry", [1.5, "1/2", None])
+    def test_non_rational_entry_rejected(self, entry):
+        # 1.5 lies in the region x_1 - x_2 > 1, but a float is not exact
+        region = Region((1, 1), (entry, Fraction(0)))
+        assert outcome(witness_satisfies, region, build_arrangement(2, 1)) == (
+            ValidationError, "witness entries must be rational"
+        )
+
+    def test_int_and_mixed_denominators(self):
+        hps = build_arrangement(3, 1)
+        # differences 4/3, 5/2 and 7/6 over the common denominator 6
+        inside = Region((1,) * 6, (3, Fraction(5, 3), Fraction(1, 2)))
+        assert witness_satisfies(inside, hps)
+        assert not witness_satisfies(Region((1,) * 5 + (-1,), inside.witness), hps)
+
+
+@st.composite
+def closed_regions(draw):
+    """(m, closed DBM of one region): one interval per pair, each drawn
+    among those consistent with the bounds closed so far."""
+    m, r = draw(st.integers(0, 6)), draw(st.integers(1, 3))
+    d = [[0 if a == b else inf for b in range(m)] for a in range(m)]
+    for i, j in combinations(range(m), 2):
+        fits = [
+            (c if c > -r else -inf, c + 1 if c < r else inf)
+            for c in range(r, -r - 1, -1)
+        ]
+        fits = [(lo, hi) for lo, hi in fits if max(lo, -d[j][i]) < min(hi, d[i][j])]
+        lo, hi = fits[draw(st.integers(0, len(fits) - 1))]
+        d = shi._tighten(d, i, j, hi, -lo)
+    return m, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(closed_regions())
+def test_witness_matches_fraction_reference(case):
+    # an odd lo + hi anywhere would make the integer midpoint floor away
+    # from the Fraction one, so this also checks the 2^(m-1) denominator bound
+    m, d = case
+    got = shi._witness(d)
+    assert got == shi_witness(d)
+    assert len(got) == m and all(type(x) is Fraction for x in got)
+
 
 @pytest.mark.parametrize(
     "f,m,r", [(build_arrangement, -1, 1), (regions, 2, 0), (regions, -1, 2)]
@@ -152,12 +200,18 @@ class TestVerifyTriangle:
 
 
 # sha256 of `shi regions --witnesses` output: the sign vectors, their order
-# and the witness points are all part of the CLI output and must not drift
+# and the witness points are all part of the CLI output and must not drift.
+# The (4,2) and (5,1) digests, the benchmark's sizes, were taken from the
+# Fraction witness placement before the integer one replaced it.
 GOLDEN = {
     ("3", "2", False): "57298ed2a688d47b7f2e3acac6c0b9d937226fb73685246663fe887d4aada217",
     ("3", "2", True): "4f36d4deed2b81e27ed9e6dcbf438f475a0a6a527017b1272888c0d54c00edc6",
     ("3", "3", False): "5d211e62d45c32e823546f69d126f6e2d59d15188c3e8e44599eada9dfa6113d",
     ("3", "3", True): "882be5af918d73a5f05e7cb790c617c512e988d81c12e0f3fdd3903470396e76",
+    ("4", "2", False): "7904656b6c1d37680773b3131802fb943cfae0f07ad79d2f0d7d36d555530a38",
+    ("4", "2", True): "68d158f6a4847228d3f50fd47e4172d03a1847eebe9d05e342c275d2e5fc3ee7",
+    ("5", "1", False): "1bbd684c0a2378baaaf146640b523b5c7c4c2e55e8a68240352c9bbbf0dee59b",
+    ("5", "1", True): "87a91bdcfb6efbb2d84a42f86b26009279db680120021dc5a7a17fb26e3dac79",
 }
 
 
