@@ -9,9 +9,14 @@ Every hyperplane bounds a coordinate difference, so a region is one open
 interval of x_i - x_j per pair: (r, oo), (r-1, r), .., (-oo, -r+1).  The
 search picks an interval per pair and keeps the strict bounds picked so far
 in a difference-bound matrix (DBM) closed under shortest paths, which shows
-at once whether a new interval is consistent with them: every kept branch
-is a region.  A rational witness is read off the closed bounds with the
-last coordinate pinned to zero.
+at once which intervals are consistent with them: every kept branch is a
+region.  The closed bounds give L = -d[j][i] < x_i - x_j < U = d[i][j], so
+the intervals (c, c+1) that meet (L, U) are exactly
+min(r, max(U - 1, -r)) >= c >= max(-r, min(L, r)), the ends c = r and
+c = -r being open on one side.  A child DBM shares with its parent every
+row the new bounds leave as it was: rows are replaced, never changed in
+place.  A rational witness is read off the closed bounds with the last
+coordinate pinned to zero.
 
 Every finite bound is an integer, and x_v is placed at the midpoint of two
 values whose denominators divide 2^(v-1), or one step past one of them, so
@@ -69,20 +74,35 @@ def _tighten(d: Bounds, i: int, j: int, upper: float, lower: float) -> Bounds:
     """Closed copy of ``d`` with x_i - x_j < upper and x_j - x_i < lower added.
 
     The caller has checked consistency, so each new edge a -> b shortens
-    paths only by routing x -> a -> b -> y: O(m^2) per edge.
+    paths only by routing x -> a -> b -> y: O(m^2) per edge.  The copy is
+    shallow: row x is replaced by a new list when the edge can reach it
+    (d[x][a] + w < oo) and shared with ``d`` otherwise, and no row is ever
+    changed in place, so ``d`` and every DBM sharing its rows stay as they
+    were.
     """
-    d = [row[:] for row in d]
+    d = d[:]
     for a, b, w in ((i, j, upper), (j, i, lower)):
         if w < d[a][b]:
-            out_b = d[b][:]
-            for row, x_to_b in [(row, row[a] + w) for row in d if row[a] < inf]:
-                for y, b_to_y in enumerate(out_b):
-                    if x_to_b + b_to_y < row[y]:
-                        row[y] = x_to_b + b_to_y
+            out_b = d[b]
+            for x, row in enumerate(d):
+                x_to_b = row[a] + w
+                if x_to_b < inf:
+                    d[x] = [
+                        x_to_b + b_to_y if x_to_b + b_to_y < v else v
+                        for v, b_to_y in zip(row, out_b)
+                    ]
     return d
 
 
-def _witness(d: Bounds) -> tuple[Fraction, ...]:
+def _intervals(d: Bounds, i: int, j: int, r: int) -> range:
+    """The interval indices c, top down, whose interval (c, c+1) meets
+    -d[j][i] < x_i - x_j < d[i][j]; interval r is (r, oo) and -r is (-oo, -r+1)."""
+    top = min(r, max(d[i][j] - 1, -r))
+    bottom = max(-r, min(-d[j][i], r))
+    return range(top, bottom - 1, -1)
+
+
+def _witness(d: Bounds, coords: dict[int, Fraction]) -> tuple[Fraction, ...]:
     """Pin x_m = 0, then place x_1, x_2, .. in turn at the midpoint of the
     interval the closed bounds leave open given the coordinates placed so
     far, or one step past its finite end when the other end is open.
@@ -90,7 +110,9 @@ def _witness(d: Bounds) -> tuple[Fraction, ...]:
     Every point is scaled by S = 2^(m-1), so a bound d becomes S*d and the
     point p_v = S*x_v is an integer: the ends p_a -/+ S*d of x_v's interval
     are multiples of 2^(m-v), even for v <= m-1, so their midpoint is exact.
-    Only the returned coordinates are Fractions.
+    Only the returned coordinates are Fractions, taken from ``coords``
+    (p -> p/S, one immutable Fraction per value, shared by every call
+    with the same m) and added to it when missing.
     """
     m = len(d)
     scale = 1 << max(m - 1, 0)
@@ -103,17 +125,20 @@ def _witness(d: Bounds) -> tuple[Fraction, ...]:
             point[v] = (lo + hi) // 2
         else:
             point[v] = lo + scale if lo > -inf else hi - scale
-    return tuple(Fraction(p, scale) for p in point)
+    for p in point:
+        if p not in coords:
+            coords[p] = Fraction(p, scale)
+    return tuple(map(coords.__getitem__, point))
 
 
 def regions(m: int, r: int, cap: int = DEFAULT_REGION_CAP) -> list[Region]:
     """All regions of the arrangement, with witnesses, in sign-vector order.
 
-    Each pair i < j in turn tries its 2r+1 intervals from the top one down
-    and keeps those that meet the interval the closed bounds imply for
-    x_i - x_j.  Interval (c, c+1) gives +1 to each hyperplane constant <= c,
-    so the top-down order lists sign vectors with +1 before -1.  ``cap``
-    bounds the number of interval choices tried.
+    Each pair i < j in turn keeps, from the top one down, the intervals that
+    meet the interval the closed bounds imply for x_i - x_j (``_intervals``).
+    Interval (c, c+1) gives +1 to each hyperplane constant <= c, so the
+    top-down order lists sign vectors with +1 before -1.  ``cap`` bounds the
+    number of interval choices tried, counting all 2r+1 per branch.
     """
     _check_domain(m, r)
     blocks = {
@@ -126,18 +151,19 @@ def regions(m: int, r: int, cap: int = DEFAULT_REGION_CAP) -> list[Region]:
     for i, j in combinations(range(m), 2):
         nxt = []
         for signs, d in partial:
-            for c in range(r, -r - 1, -1):
-                tried += 1
-                if tried > cap:
-                    raise ResourceCapError(
-                        f"region search tried {tried} intervals, cap {cap}"
-                    )
+            tried += 2 * r + 1
+            if tried > cap:
+                # counted one at a time, the choices stop at the first past the cap
+                raise ResourceCapError(
+                    f"region search tried {max(cap, 0) + 1} intervals, cap {cap}"
+                )
+            for c in _intervals(d, i, j, r):
                 lo = c if c > -r else -inf
                 hi = c + 1 if c < r else inf
-                if max(lo, -d[j][i]) < min(hi, d[i][j]):
-                    nxt.append((signs + blocks[c], _tighten(d, i, j, hi, -lo)))
+                nxt.append((signs + blocks[c], _tighten(d, i, j, hi, -lo)))
         partial = nxt
-    return [Region(signs, _witness(d)) for signs, d in partial]
+    coords: dict[int, Fraction] = {}
+    return [Region(signs, _witness(d, coords)) for signs, d in partial]
 
 
 def witness_satisfies(region: Region, hyperplanes: tuple[Hyperplane, ...]) -> bool:

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import random
 from fractions import Fraction
@@ -42,8 +43,28 @@ class TestCountRegions:
         assert len(regions(m, r)) == expected
 
     def test_cap_refusal(self):
-        with pytest.raises(ResourceCapError):
+        with pytest.raises(ResourceCapError) as exc:
             regions(3, 2, cap=10)
+        assert str(exc.value) == "region search tried 11 intervals, cap 10"
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_refuses_at_first_interval(self, cap):
+        with pytest.raises(ResourceCapError) as exc:
+            regions(3, 2, cap=cap)
+        assert str(exc.value) == f"region search tried 1 intervals, cap {cap}"
+
+    def test_cap_counts_every_interval_of_a_branch(self):
+        # 4,360 is what trying all 2r+1 intervals of each of (4,2)'s branches
+        # one by one adds up to; a cap one below it refuses at the last branch
+        assert len(regions(4, 2, cap=4360)) == 729
+        with pytest.raises(ResourceCapError) as exc:
+            regions(4, 2, cap=4359)
+        assert str(exc.value) == "region search tried 4360 intervals, cap 4359"
+
+    def test_repeated_calls_agree(self):
+        # child DBMs share rows with their parents and regions share witness
+        # Fractions: nothing either call builds may carry over to the next
+        assert regions(4, 2) == regions(4, 2)
 
     def test_sign_vectors_distinct(self):
         regs = regions(3, 1)
@@ -153,21 +174,28 @@ class TestWitnessSatisfies:
         assert not witness_satisfies(Region((1,) * 5 + (-1,), inside.witness), hps)
 
 
+def interval(c, r):
+    """Interval c of a pair, (c, c+1), open-ended at c = r and c = -r."""
+    return c if c > -r else -inf, c + 1 if c < r else inf
+
+
+def fitting_intervals(d, i, j, r):
+    """The intervals (lo, hi), top down, that meet the bounds d puts on x_i - x_j."""
+    fits = (interval(c, r) for c in range(r, -r - 1, -1))
+    return [(lo, hi) for lo, hi in fits if max(lo, -d[j][i]) < min(hi, d[i][j])]
+
+
 @st.composite
 def closed_regions(draw):
-    """(m, closed DBM of one region): one interval per pair, each drawn
+    """(m, r, closed DBM of one region): one interval per pair, each drawn
     among those consistent with the bounds closed so far."""
     m, r = draw(st.integers(0, 6)), draw(st.integers(1, 3))
     d = [[0 if a == b else inf for b in range(m)] for a in range(m)]
     for i, j in combinations(range(m), 2):
-        fits = [
-            (c if c > -r else -inf, c + 1 if c < r else inf)
-            for c in range(r, -r - 1, -1)
-        ]
-        fits = [(lo, hi) for lo, hi in fits if max(lo, -d[j][i]) < min(hi, d[i][j])]
+        fits = fitting_intervals(d, i, j, r)
         lo, hi = fits[draw(st.integers(0, len(fits) - 1))]
         d = shi._tighten(d, i, j, hi, -lo)
-    return m, d
+    return m, r, d
 
 
 @settings(max_examples=300, deadline=None)
@@ -175,10 +203,38 @@ def closed_regions(draw):
 def test_witness_matches_fraction_reference(case):
     # an odd lo + hi anywhere would make the integer midpoint floor away
     # from the Fraction one, so this also checks the 2^(m-1) denominator bound
-    m, d = case
-    got = shi._witness(d)
+    m, _, d = case
+    got = shi._witness(d, {})
     assert got == shi_witness(d)
     assert len(got) == m and all(type(x) is Fraction for x in got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(closed_regions())
+def test_interval_range_matches_filter(case):
+    # bounds tightened along a path can pass -r (or r), where only the
+    # open-ended interval -r (or r) is left: the range clamps its ends to them
+    m, r, d = case
+    for i, j in combinations(range(m), 2):
+        kept = [interval(c, r) for c in shi._intervals(d, i, j, r)]
+        assert kept == fitting_intervals(d, i, j, r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(closed_regions())
+def test_tighten_leaves_its_input_unchanged(case):
+    # replay the draw pair by pair (each pair's drawn interval is the one
+    # that fits the final bounds) and tighten every sibling on the way
+    m, r, final = case
+    d = [[0 if a == b else inf for b in range(m)] for a in range(m)]
+    for i, j in combinations(range(m), 2):
+        before = copy.deepcopy(d)
+        for lo, hi in fitting_intervals(d, i, j, r):
+            shi._tighten(d, i, j, hi, -lo)
+            assert d == before
+        [(lo, hi)] = fitting_intervals(final, i, j, r)
+        d = shi._tighten(d, i, j, hi, -lo)
+    assert d == final
 
 
 @pytest.mark.parametrize(
@@ -202,7 +258,8 @@ class TestVerifyTriangle:
 # sha256 of `shi regions --witnesses` output: the sign vectors, their order
 # and the witness points are all part of the CLI output and must not drift.
 # The (4,2) and (5,1) digests, the benchmark's sizes, were taken from the
-# Fraction witness placement before the integer one replaced it.
+# Fraction witness placement before the integer one replaced it; the (4,3)
+# and (5,2) digests before the search read its intervals off the bounds.
 GOLDEN = {
     ("3", "2", False): "57298ed2a688d47b7f2e3acac6c0b9d937226fb73685246663fe887d4aada217",
     ("3", "2", True): "4f36d4deed2b81e27ed9e6dcbf438f475a0a6a527017b1272888c0d54c00edc6",
@@ -212,6 +269,9 @@ GOLDEN = {
     ("4", "2", True): "68d158f6a4847228d3f50fd47e4172d03a1847eebe9d05e342c275d2e5fc3ee7",
     ("5", "1", False): "1bbd684c0a2378baaaf146640b523b5c7c4c2e55e8a68240352c9bbbf0dee59b",
     ("5", "1", True): "87a91bdcfb6efbb2d84a42f86b26009279db680120021dc5a7a17fb26e3dac79",
+    ("4", "3", False): "c3ffec987eb13527820987cb515b60ddaca7725d2fbb5011a52ab61dbec2e273",
+    ("4", "3", True): "333900f5db2d7545de550d2c3f56f683a7d281a46fecb36bb7def1abde7d9f7b",
+    ("5", "2", False): "cfb8f4656119c77f17611710491c6b1ef4105b4b18d6cc84dbde135eb8d4a96a",
 }
 
 
