@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import factorial
 from typing import Iterator, Sequence
 
@@ -198,6 +198,15 @@ def _check_egf(_max_n: int) -> Iterator[tuple[bool, str]]:
         yield value == closed_form, f"egf-lagrange k={q} value={value}"
 
 
+def _pak_stanley_label(region: shi.Region, k: int) -> tuple[int, ...]:
+    """Stanley's label of a region: its interval (c, c+1) of the pair i < j
+    adds c to label i when c > 0 and -c to label j when c < 0."""
+    label = [0] * k
+    for (i, j), c in zip(combinations(range(k), 2), region.intervals):
+        label[i if c > 0 else j] += abs(c)
+    return tuple(label)
+
+
 def _check_shi(_max_n: int) -> Iterator[tuple[bool, str]]:
     for k, r in ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (4, 2), (5, 1), (3, 3)):
         regs, hyperplanes = shi.regions(k, r), shi.build_arrangement(k, r)
@@ -205,8 +214,12 @@ def _check_shi(_max_n: int) -> Iterator[tuple[bool, str]]:
         n_regions = len(regs)
         n_parking = parking.count_parking(k, r)
         n_trees = prufer.count_trees_for_matching(r * k + 1, r + 1)
+        # distinct r-parking labels, and |chi(1)| = (rk-1)^(k-1) bounded regions
+        labels = {_pak_stanley_label(reg, k) for reg in regs}
+        labelled = len(labels) == n_regions and all(parking.is_r_parking(a, r) for a in labels)
+        bounded = sum(reg.bounded for reg in regs) == (r * k - 1) ** (k - 1)
         yield (
-            witnessed and n_regions == n_parking == n_trees,
+            witnessed and labelled and bounded and n_regions == n_parking == n_trees,
             f"shi-triangle k={k} r={r} "
             f"regions={n_regions} parking={n_parking} trees={n_trees}",
         )

@@ -18,6 +18,11 @@ row the new bounds leave as it was: rows are replaced, never changed in
 place.  A rational witness is read off the closed bounds with the last
 coordinate pinned to zero.
 
+A branch holds only the interval indices it chose and its DBM.  Each region
+expands its sign vector from the indices once, and keeps them and whether
+its closed DBM is finite everywhere, that is, bounded modulo the all-ones
+line.
+
 Every finite bound is an integer, and x_v is placed at the midpoint of two
 values whose denominators divide 2^(v-1), or one step past one of them, so
 its own denominator divides 2^v and the whole witness lies on the grid
@@ -32,6 +37,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import inf, lcm
 from numbers import Rational
+from operator import itemgetter
 
 from .core import ResourceCapError, ValidationError
 from .parking import _check_domain
@@ -54,10 +60,19 @@ class Hyperplane:
 @dataclass(frozen=True)
 class Region:
     """An open region: one sign per hyperplane (+1 above, -1 below) plus a
-    rational interior point witnessing strict feasibility."""
+    rational interior point witnessing strict feasibility.
+
+    ``regions`` also fills ``intervals``, the index c of the interval
+    (c, c+1) holding x_i - x_j for each pair i < j in order (-r <= c <= r),
+    and ``bounded``, True when every entry of the closed DBM is finite.  A
+    Region built by hand carries the defaults; ``witness_satisfies`` reads
+    neither field.
+    """
 
     signs: tuple[int, ...]
     witness: tuple[Fraction, ...]
+    intervals: tuple[int, ...] = ()
+    bounded: bool = False
 
 
 def build_arrangement(m: int, r: int) -> tuple[Hyperplane, ...]:
@@ -150,7 +165,7 @@ def regions(m: int, r: int, cap: int = DEFAULT_REGION_CAP) -> list[Region]:
     tried = 0
     for i, j in combinations(range(m), 2):
         nxt = []
-        for signs, d in partial:
+        for cs, d in partial:
             tried += 2 * r + 1
             if tried > cap:
                 # counted one at a time, the choices stop at the first past the cap
@@ -160,10 +175,17 @@ def regions(m: int, r: int, cap: int = DEFAULT_REGION_CAP) -> list[Region]:
             for c in _intervals(d, i, j, r):
                 lo = c if c > -r else -inf
                 hi = c + 1 if c < r else inf
-                nxt.append((signs + blocks[c], _tighten(d, i, j, hi, -lo)))
+                nxt.append((cs + (c,), _tighten(d, i, j, hi, -lo)))
         partial = nxt
     coords: dict[int, Fraction] = {}
-    return [Region(signs, _witness(d, coords)) for signs, d in partial]
+    last = itemgetter(-1)
+    # a closed DBM has d[a][b] <= d[a][-1] + d[-1][b], so it is finite
+    # everywhere when its last row and last column are (m = 0: no rows)
+    return [
+        Region(sum(map(blocks.__getitem__, cs), ()), _witness(d, coords), cs,
+               not d or (inf not in d[-1] and inf not in map(last, d)))
+        for cs, d in partial
+    ]
 
 
 def witness_satisfies(region: Region, hyperplanes: tuple[Hyperplane, ...]) -> bool:

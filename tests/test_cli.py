@@ -2,10 +2,15 @@ import hashlib
 import json
 import shlex
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
+from io import StringIO
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypertrees import cli, core, egf, parking, shi
 from hypertrees.cli import main
@@ -218,6 +223,15 @@ class TestShi:
             assert set(signs) <= {"+", "-"} and len(point) == 2
 
 
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_pak_stanley_label_counts_separating_hyperplanes(self, r):
+        # x_1 - x_2 in (c, c+1) lies c hyperplanes above the base region (0, 1)
+        # when c > 0 and -c below it when c < 0; the label takes the count at
+        # coordinate 1 or 2, which the mirrored labelling would swap
+        labels = [cli._pak_stanley_label(reg, 2) for reg in shi.regions(2, r)]
+        assert labels == [(c, 0) for c in range(r, 0, -1)] + [(0, c) for c in range(r + 1)]
+
+
 class TestErrorsAndDeterminism:
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
@@ -299,6 +313,26 @@ class TestVerifyStreaming:
         assert code == 5
         assert "FAIL shi-triangle k=4 r=2 regions=729 parking=729 trees=729" in out.splitlines()
         assert out.endswith("total=8 failures=8\n")
+
+    @pytest.mark.parametrize("field", ["intervals", "bounded"])
+    def test_region_fields_that_disagree_fail_the_row(self, capsys, monkeypatch, field):
+        # the first region takes the second's intervals, and so its label, or
+        # flips its bounded flag: every count stays right, so each row fails
+        # with its text unchanged
+        _, passing, _ = run(capsys, "verify", "--suite", "shi")
+        found = shi.regions
+
+        def regions(k, r):
+            first, second, *rest = found(k, r)
+            changed = {"intervals": second.intervals, "bounded": not first.bounded}[field]
+            return [replace(first, **{field: changed}), second, *rest]
+
+        monkeypatch.setattr(shi, "regions", regions)
+        code, out, _ = run(capsys, "verify", "--suite", "shi")
+        assert code == 5
+        rows = passing.splitlines()[:-1]
+        assert out.splitlines() == [f"FAIL{row[4:]}" for row in rows] + ["total=8 failures=8"]
+        assert all(row.startswith("PASS shi-triangle") for row in rows)
 
     def test_counts_stop_where_the_cap_refuses(self, capsys):
         # r=3, n=11 searches C(165,5) > core.DEFAULT_CAP edge sets, so the r=3
@@ -459,3 +493,45 @@ def test_json_output_lines_are_json(capsys, command):
     _, out, _ = run(capsys, *shlex.split(command))
     for line in out.splitlines():
         json.loads(line)
+
+
+# texts that no parser here takes as written, and a few that it does
+MALFORMED = (
+    "", " ", "x", "-", "--", ",", ";", "|", "1,,2", "1;;2", "1||2", "1,2,",
+    "-1", "1.5", "1e3", "0x10", "nan", "\u0661\u0662", "9" * 40, "1,2,3", "1,x;2",
+    "1,2,3;3,4,7;3,5,6", "1,2|3,4", "1,2|2,3", "2,2,2", "0,0",
+)
+ERROR_KIND = {3: "invalid-input", 4: "resource-cap"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_every_command_answers_or_refuses(data):
+    # any argv a row takes, with options dropped at random, ends in an answer
+    # or a documented exit; --cap is always passed so no draw searches long
+    path, _, _, arguments = data.draw(
+        st.sampled_from([row for row in cli._COMMANDS if row[0] != "verify"])
+    )
+    rng = data.draw(st.randoms(use_true_random=True))
+    argv = path.split()
+    for arg in arguments:
+        name, kwargs = (arg, cli._ARGS[arg]) if isinstance(arg, str) else arg
+        if name == "cap":
+            argv += ["--cap", str(data.draw(st.integers(0, 10**4)))]
+        elif rng.random() < 0.25:  # dropped
+            continue
+        elif kwargs.get("action") == "store_true":
+            argv.append(f"--{name}")
+        elif "choices" in kwargs:
+            argv += [f"--{name}", data.draw(st.sampled_from(kwargs["choices"]))]
+        elif kwargs.get("type") is int:
+            argv += [f"--{name}", str(data.draw(st.integers(-2, 9)))]
+        else:
+            argv += [f"--{name}", data.draw(st.sampled_from(MALFORMED))]
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in {0, 2, 3, 4, 5}, argv
+    if code in ERROR_KIND:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {ERROR_KIND[code]}: "), argv

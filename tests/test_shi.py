@@ -3,7 +3,7 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import inf
+from math import comb, inf
 
 import pytest
 from hypothesis import given, settings
@@ -112,6 +112,65 @@ class TestCountRegions:
         # reorder each sign vector; distinctness and count must be preserved
         shuffled = {tuple(s[i] for i in perm) for s in regs}
         assert len(shuffled) == len(regs) == 16
+
+
+FIELD_SIZES = [(2, 1), (3, 2), (4, 2), (5, 1), (3, 3), (4, 3), (3, 4)]
+
+
+def bounded_by_intervals(intervals, m, r):
+    """Boundedness read off the intervals alone: x_i - x_j has an upper bound
+    unless c = r and a lower one unless c = -r, and every difference is
+    bounded exactly when those bounds connect every coordinate to every
+    other, that is, when the graph i -> j of upper bounds is strongly
+    connected."""
+    above = {a: set() for a in range(m)}
+    for (i, j), c in zip(combinations(range(m), 2), intervals):
+        if c < r:
+            above[i].add(j)
+        if c > -r:
+            above[j].add(i)
+    for start in range(m):
+        seen, todo = {start}, [start]
+        while todo:
+            new = above[todo.pop()] - seen
+            seen |= new
+            todo.extend(new)
+        if len(seen) < m:
+            return False
+    return True
+
+
+class TestRegionFields:
+    @pytest.mark.parametrize("m,r", FIELD_SIZES)
+    def test_intervals_expand_to_the_signs(self, m, r):
+        regs = regions(m, r)
+        for reg in regs:
+            assert len(reg.intervals) == comb(m, 2)
+            assert all(-r <= c <= r for c in reg.intervals)
+            # interval (c, c+1) is above each hyperplane constant h <= c
+            expanded = tuple(
+                1 if h <= c else -1 for c in reg.intervals for h in range(-r + 1, r + 1)
+            )
+            assert expanded == reg.signs
+        assert len({reg.intervals for reg in regs}) == len(regs)
+
+    @pytest.mark.parametrize("m,r", FIELD_SIZES)
+    def test_bounded_regions(self, m, r):
+        # |chi(1)| = (rm - 1)^(m-1) (Athanasiadis 1996), and each flag agrees
+        # with the strong connectivity of the interval bounds
+        regs = regions(m, r)
+        assert sum(reg.bounded for reg in regs) == (r * m - 1) ** (m - 1)
+        assert all(reg.bounded == bounded_by_intervals(reg.intervals, m, r) for reg in regs)
+
+    @pytest.mark.parametrize("m", [0, 1])
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_single_region_is_bounded(self, m, r):
+        assert regions(m, r) == [Region((), (Fraction(0),) * m, (), True)]
+
+    def test_hand_built_region_carries_the_defaults(self):
+        reg = Region((1, -1), (Fraction(1, 2), Fraction(0)))
+        assert (reg.intervals, reg.bounded) == ((), False)
+        assert witness_satisfies(reg, build_arrangement(2, 1))
 
 
 class TestWitnessSatisfies:
