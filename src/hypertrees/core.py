@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 DEFAULT_CAP = 10**8
 
@@ -38,14 +38,27 @@ class InternalError(RuntimeError):
     """A result broke the library's own postcondition: a defect in the library, not in the input."""
 
 
-def _check_edge(edge: Sequence[int], n: int, r: int) -> None:
-    if len(edge) != r:
-        raise ValidationError(f"hyperedge {edge} has size {len(edge)}, expected {r}")
-    if len(set(edge)) != len(edge):
-        raise ValidationError(f"hyperedge {edge} repeats a vertex")
-    for v in edge:
-        if not 1 <= v <= n:
-            raise ValidationError(f"vertex {v} outside [1, {n}]")
+def _check_labels(values: Iterable, lo: int | None, hi: int | None, what: str) -> None:
+    """Refuse a value whose type is not exactly int (bool, float, Fraction, str
+    and None are refused) or that lies outside [lo, hi].  ``lo`` None checks
+    the type only; ``hi`` None means no upper bound, and ``lo`` is then 0, so
+    a value below it is negative."""
+    for v in values:
+        if type(v) is not int:
+            raise ValidationError(f"{what} {v!r} is not an integer")
+        if lo is not None and (v < lo or hi is not None and v > hi):
+            if hi is None:
+                raise ValidationError(f"negative {what} {v}")
+            raise ValidationError(f"{what} {v} outside [{lo}, {hi}]")
+
+
+def _canonical(groups: Iterable, what: str) -> tuple[tuple[int, ...], ...]:
+    """Each group sorted, then the groups sorted; refuses labels that do not sort."""
+    try:
+        return tuple(sorted(tuple(sorted(g)) for g in groups))
+    except TypeError:  # a str or None among ints
+        _check_labels([v for g in groups for v in g], None, None, what)
+        raise
 
 
 @dataclass(frozen=True)
@@ -63,9 +76,13 @@ class HyperTree:
 
     def __post_init__(self) -> None:
         tree_size(self.n, self.r)  # refuses n < 1 and r < 2
-        canon = tuple(sorted(tuple(sorted(e)) for e in self.edges))
+        canon = _canonical(self.edges, "vertex")
         for e in canon:
-            _check_edge(e, self.n, self.r)
+            if len(e) != self.r:
+                raise ValidationError(f"hyperedge {e} has size {len(e)}, expected {self.r}")
+            if len(set(e)) != len(e):
+                raise ValidationError(f"hyperedge {e} repeats a vertex")
+            _check_labels(e, 1, self.n, "vertex")
         if len(set(canon)) != len(canon):
             raise ValidationError("duplicate hyperedge")
         object.__setattr__(self, "edges", canon)
@@ -84,9 +101,10 @@ class Matching:
     index: dict[int, int] = field(init=False, compare=False, repr=False)  # vertex -> block position
 
     def __post_init__(self) -> None:
+        _check_labels((self.block_size,), None, None, "size")
         if self.block_size < 1:
             raise ValidationError("block size must be positive")
-        canon = tuple(sorted(tuple(sorted(b)) for b in self.blocks))
+        canon = _canonical(self.blocks, "block member")
         index: dict[int, int] = {}
         for i, b in enumerate(canon):
             if len(b) != self.block_size:
@@ -95,6 +113,7 @@ class Matching:
                 if v in index:
                     raise ValidationError(f"block {b} overlaps another block")
                 index[v] = i
+        _check_labels(index, None, None, "block member")
         m = self.block_size * len(canon)
         if index.keys() != set(range(1, m + 1)):
             raise ValidationError(f"blocks do not cover [1, {m}]")
@@ -188,6 +207,7 @@ def is_spanning_tree(t: HyperTree) -> bool:
 
 def tree_size(n: int, r: int) -> int | None:
     """Number of hyperedges k of any spanning tree on n vertices, or None."""
+    _check_labels((n, r), None, None, "size")
     if n < 1:
         raise ValidationError("vertex count must be positive")
     if r < 2:
@@ -248,6 +268,7 @@ def count_matchings_formula(m: int, b: int) -> int:
     partners: the product of C(j*b - 1, b - 1) over j = 1 .. m/b.
     Zero when b does not divide m; one when m = 0 or b = 1.
     """
+    _check_labels((m, b), None, None, "size")
     if b < 1:
         raise ValidationError("block size must be positive")
     if m < 0:

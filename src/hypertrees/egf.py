@@ -18,7 +18,8 @@ from functools import reduce
 from math import comb, factorial
 from typing import Sequence
 
-from .core import ValidationError, count_matchings_formula, count_spanning_trees_formula
+from .core import ValidationError, _check_labels
+from .core import count_matchings_formula, count_spanning_trees_formula
 
 Series = tuple[int, ...]
 
@@ -55,6 +56,7 @@ def compose(f: Sequence[int], g: Sequence[int]) -> Series:
 
 def _exponents(order: int) -> range:
     """The exponents 0..order of a series truncated at ``order``."""
+    _check_labels((order,), None, None, "size")
     if order < 0:
         raise ValidationError(f"series order must be non-negative, got {order}")
     return range(order + 1)
@@ -67,6 +69,7 @@ def egf_matchings(b: int, order: int) -> Series:
 
 def rooted_tree_count(n: int, r: int) -> int:
     """Number of rooted spanning trees on n labeled vertices."""
+    _check_labels((n,), None, None, "size")
     return n * count_spanning_trees_formula(n or 1, r)  # n = 0 still checks r
 
 
@@ -92,6 +95,7 @@ def verify_functional_equation(
     of t_0..t_N (e.g. from brute-force enumeration); by default the closed
     form is used.
     """
+    _check_labels((r, order), None, None, "size")
     if r < 2 or order < 1:
         raise ValidationError("need r >= 2 and order >= 1")
     if tree_counts is None:
@@ -117,6 +121,7 @@ def lagrange_coefficient(r: int, q: int) -> Fraction:
     series coefficient of x^n.  E(y) = exp(y^b / b!), so its closed form is
     n^q / (b!^q q!); the CLI's ``egf`` verify suite compares the two at r = 3.
     """
+    _check_labels((r, q), None, None, "size")
     if r < 2 or q < 1:
         raise ValidationError("need r >= 2 and q >= 1")
     n = (r - 1) * q + 1
@@ -138,6 +143,7 @@ def count_rooted_trees_recursive(n: int, r: int) -> int:
     one root hyperedge (Moon, *Counting Labelled Trees*, 1970).  Binomials
     only: no closed form and no series arithmetic, so it is a second oracle.
     """
+    _check_labels((n, r), None, None, "size")
     if n < 0 or r < 2:
         raise ValidationError("need n >= 0 and r >= 2")
     trees = [0] * (n + 1)

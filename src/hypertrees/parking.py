@@ -5,25 +5,20 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator, Sequence
 
-from .core import DEFAULT_CAP, ResourceCapError, ValidationError, _int_groups
+from .core import DEFAULT_CAP, ResourceCapError, ValidationError, _check_labels, _int_groups
 
 
 def _check_domain(k: int, r: int) -> None:
     """Length k >= 0 and r >= 1: the domain of the parking side and the Shi side."""
+    _check_labels((k, r), None, None, "size")
     if k < 0 or r < 1:
         raise ValidationError("need k >= 0 and r >= 1")
-
-
-def _check_entries(a: Sequence[int]) -> None:
-    for x in a:
-        if x < 0:
-            raise ValidationError(f"negative entry {x}")
 
 
 def is_r_parking(a: Sequence[int], r: int) -> bool:
     """True iff the sorted rearrangement b satisfies b_i <= r*(i-1) for all i."""
     _check_domain(len(a), r)
-    _check_entries(a)
+    _check_labels(a, 0, None, "entry")
     return all(x <= r * i for i, x in enumerate(sorted(a)))
 
 
@@ -34,7 +29,7 @@ def simulate_parking(a: Sequence[int]) -> bool:
     higher slots; returns True iff every car finds a spot.  Agrees with
     is_r_parking(a, 1) on every input.
     """
-    _check_entries(a)
+    _check_labels(a, 0, None, "entry")
     k = len(a)
     occupied = [False] * k
     for pref in a:

@@ -23,6 +23,7 @@ from .core import (
     Matching,
     MatchingMismatchError,
     ValidationError,
+    _check_labels,
     _edge_blocks,
     _int_groups,
     extract_matching,  # noqa: F401  (unused here, but importable from this module)
@@ -39,11 +40,10 @@ class PruferCode:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _check_labels((self.n,), None, None, "size")
         if self.n < 1:
             raise ValidationError("vertex count must be positive")
-        for s in self.entries:
-            if not 1 <= s <= self.n:
-                raise ValidationError(f"code entry {s} outside [1, {self.n}]")
+        _check_labels(self.entries, 1, self.n, "code entry")
         object.__setattr__(self, "entries", tuple(self.entries))
 
 
@@ -96,6 +96,7 @@ def decode(code: PruferCode, m: Matching, r: int) -> HyperTree:
     survives the k-1 steps and joins vertex n in the final hyperedge; the
     empty matching takes the empty code and gives the one-vertex tree.
     """
+    _check_labels((r,), None, None, "size")
     if m.block_size != r - 1:
         raise ValidationError(f"matching block size {m.block_size} != r-1 = {r - 1}")
     n = m.m + 1

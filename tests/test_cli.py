@@ -7,6 +7,7 @@ from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from io import StringIO
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -333,6 +334,24 @@ class TestVerifyStreaming:
         rows = passing.splitlines()[:-1]
         assert out.splitlines() == [f"FAIL{row[4:]}" for row in rows] + ["total=8 failures=8"]
         assert all(row.startswith("PASS shi-triangle") for row in rows)
+
+    def test_mirrored_labelling_fails_every_row(self, capsys, monkeypatch):
+        # c > 0 adding to label j keeps the labels distinct r-parking functions
+        # and their trees distinct, but the dominant chamber then carries
+        # weakly increasing labels: each row fails with its text unchanged
+        _, passing, _ = run(capsys, "verify", "--suite", "shi")
+
+        def mirrored(region, k):
+            label = [0] * k
+            for (i, j), c in zip(combinations(range(k), 2), region.intervals):
+                label[j if c > 0 else i] += abs(c)
+            return tuple(label)
+
+        monkeypatch.setattr(cli, "_pak_stanley_label", mirrored)
+        code, out, _ = run(capsys, "verify", "--suite", "shi")
+        assert code == 5
+        rows = passing.splitlines()[:-1]
+        assert out.splitlines() == [f"FAIL{row[4:]}" for row in rows] + ["total=8 failures=8"]
 
     def test_counts_stop_where_the_cap_refuses(self, capsys):
         # r=3, n=11 searches C(165,5) > core.DEFAULT_CAP edge sets, so the r=3

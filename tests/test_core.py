@@ -346,8 +346,13 @@ class TestMatchingType:
         (HyperTree, (0, 3, ()), "vertex count must be positive"),
         (HyperTree, (3, 1, ()), "uniformity must be at least 2"),
         (Matching, (2, ((1, 2), (3,))), "block (3,) has size 1, expected 2"),
+        # size and repeats are checked ahead of the vertex range
+        (HyperTree, (3, 3, ((1, 2, 3, 4),)), "hyperedge (1, 2, 3, 4) has size 4, expected 3"),
+        (HyperTree, (5, 3, ((0, 0, 6),)), "hyperedge (0, 0, 6) repeats a vertex"),
+        (HyperTree, (5, 3, ((0, 2, 3),)), "vertex 0 outside [1, 5]"),
     ],
-    ids=["tree-n0", "tree-r1", "matching-short-block"],
+    ids=["tree-n0", "tree-r1", "matching-short-block", "tree-long-edge", "tree-repeat",
+         "tree-vertex-0"],
 )
 def test_construction_refusals(make, args, message):
     assert outcome(make, *args) == (ValidationError, message)
