@@ -53,10 +53,13 @@ def _check_labels(values: Iterable, lo: int | None, hi: int | None, what: str) -
 
 
 def _canonical(groups: Iterable, what: str) -> tuple[tuple[int, ...], ...]:
-    """Each group sorted, then the groups sorted; refuses labels that do not sort."""
+    """Each group sorted, then the groups sorted; refuses groups and labels that do not sort."""
     try:
         return tuple(sorted(tuple(sorted(g)) for g in groups))
-    except TypeError:  # a str or None among ints
+    except TypeError:  # a group (or ``groups``) that is not iterable, or a str or None among ints
+        for g in groups if isinstance(groups, Iterable) else (groups,):
+            if not isinstance(g, Iterable):
+                raise ValidationError(f"expected groups of {what} labels, got {g!r}") from None
         _check_labels([v for g in groups for v in g], None, None, what)
         raise
 
@@ -229,6 +232,7 @@ def enumerate_spanning_trees(
     ``cap``.
     """
     k = tree_size(n, r)
+    _check_labels((cap,), None, None, "cap")
     if k is None:
         return
     n_edges = math.comb(n, r)

@@ -15,11 +15,16 @@ def _check_domain(k: int, r: int) -> None:
         raise ValidationError("need k >= 0 and r >= 1")
 
 
+def _fits(a: Sequence[int], r: int) -> bool:
+    """The sorted bound on checked entries: b_i <= r*(i-1) for the sorted b."""
+    return all(x <= r * i for i, x in enumerate(sorted(a)))
+
+
 def is_r_parking(a: Sequence[int], r: int) -> bool:
     """True iff the sorted rearrangement b satisfies b_i <= r*(i-1) for all i."""
     _check_domain(len(a), r)
     _check_labels(a, 0, None, "entry")
-    return all(x <= r * i for i, x in enumerate(sorted(a)))
+    return _fits(a, r)
 
 
 def simulate_parking(a: Sequence[int]) -> bool:
@@ -50,11 +55,12 @@ def enumerate_parking(k: int, r: int, cap: int = DEFAULT_CAP) -> Iterator[tuple[
     only one, as ``count_parking(0, r)`` says.
     """
     _check_domain(k, r)
+    _check_labels((cap,), None, None, "cap")
     top = r * (k - 1)
     if (top + 1) ** k > cap:
         raise ResourceCapError(f"search space {(top + 1) ** k} exceeds cap {cap}")
     for a in product(range(top + 1), repeat=k):
-        if is_r_parking(a, r):
+        if _fits(a, r):  # entries from ``range``: no check needed
             yield a
 
 

@@ -39,7 +39,7 @@ from math import inf, lcm
 from numbers import Rational
 from operator import itemgetter
 
-from .core import ResourceCapError, ValidationError
+from .core import ResourceCapError, ValidationError, _check_labels
 from .parking import _check_domain
 
 DEFAULT_REGION_CAP = 500_000
@@ -133,9 +133,10 @@ def _witness(d: Bounds, coords: dict[int, Fraction]) -> tuple[Fraction, ...]:
     scale = 1 << max(m - 1, 0)
     point = [0] * m
     for v in range(m - 1):
-        placed = (*range(v), m - 1)
-        lo = max(point[a] - scale * d[a][v] for a in placed)
-        hi = min(point[a] + scale * d[v][a] for a in placed)
+        row, lo, hi = d[v], -inf, inf
+        for a in (*range(v), m - 1):
+            x, y = point[a] - scale * d[a][v], point[a] + scale * row[a]
+            lo, hi = x if x > lo else lo, y if y < hi else hi  # max(), min(): 1.7x the time
         if lo > -inf and hi < inf:
             point[v] = (lo + hi) // 2
         else:
@@ -156,6 +157,7 @@ def regions(m: int, r: int, cap: int = DEFAULT_REGION_CAP) -> list[Region]:
     number of interval choices tried, counting all 2r+1 per branch.
     """
     _check_domain(m, r)
+    _check_labels((cap,), None, None, "cap")
     blocks = {
         c: tuple(1 if h <= c else -1 for h in range(-r + 1, r + 1))
         for c in range(-r, r + 1)
@@ -194,15 +196,15 @@ def witness_satisfies(region: Region, hyperplanes: tuple[Hyperplane, ...]) -> bo
     if len(region.signs) != len(hyperplanes):
         raise ValidationError("sign vector length does not match arrangement")
     w = region.witness
-    m = max((h.j for h in hyperplanes), default=min(len(w), 1))  # m = 0, 1: no hyperplane
+    m = max([h.j for h in hyperplanes], default=min(len(w), 1))  # m = 0, 1: no hyperplane
     if len(w) != m:
         side = "fewer" if len(w) < m else "more"
         raise ValidationError(f"witness has {side} coordinates than the arrangement")
     if not set(region.signs) <= {1, -1}:
         raise ValidationError("signs must be +1 or -1")
-    if not all(isinstance(x, Rational) for x in w):
+    if not all([type(x) is Fraction or isinstance(x, Rational) for x in w]):
         raise ValidationError("witness entries must be rational")
-    den = lcm(*(x.denominator for x in w))
+    den = lcm(*[x.denominator for x in w])
     scaled = [x.numerator * (den // x.denominator) for x in w]
     for s, h in zip(region.signs, hyperplanes):
         diff, c = scaled[h.i - 1] - scaled[h.j - 1], h.c * den

@@ -47,7 +47,7 @@ from conftest import outcome
 FIG1 = ((1, 2, 3), (3, 4, 7), (3, 5, 6))
 
 # (name, call, valid arguments): every int in the arguments, however deeply
-# nested, is an integer label or size of the call
+# nested, is an integer label, size or search cap of the call
 ENTRY_POINTS = [
     ("HyperTree", lambda n, r, e: is_spanning_tree(HyperTree(n, r, e)), (7, 3, FIG1)),
     ("extract_matching", lambda n, r, e: extract_matching(HyperTree(n, r, e)), (7, 3, FIG1)),
@@ -82,6 +82,11 @@ ENTRY_POINTS = [
     ("count_rooted_trees_recursive", count_rooted_trees_recursive, (5, 3)),
     ("regions", regions, (2, 1)),
     ("build_arrangement", build_arrangement, (2, 1)),
+    # a search cap is an integer too
+    ("enumerate_parking cap", lambda k, r, cap: list(enumerate_parking(k, r, cap)), (3, 1, 64)),
+    ("enumerate_spanning_trees cap",
+     lambda n, r, cap: list(enumerate_spanning_trees(n, r, cap)), (5, 3, 45)),
+    ("regions cap", regions, (2, 1, 6)),
 ]
 NOT_INTEGERS = (True, False, 2.0, Fraction(2), "2", None)
 
@@ -135,12 +140,24 @@ def test_every_entry_point_refuses_a_non_integer(data):
         (lambda: egf_rooted_trees(3, 9.0), "size 9.0 is not an integer"),
         (lambda: count_rooted_trees_recursive(5.0, 3), "size 5.0 is not an integer"),
         (lambda: regions(2.0, 1), "size 2.0 is not an integer"),
+        (lambda: list(enumerate_spanning_trees(5, 3, cap=None)), "cap None is not an integer"),
+        (lambda: list(enumerate_spanning_trees(4, 3, cap=2.0)), "cap 2.0 is not an integer"),
+        (lambda: list(enumerate_parking(2, 1, cap=None)), "cap None is not an integer"),
+        (lambda: list(enumerate_parking(2, 1, cap=100.5)), "cap 100.5 is not an integer"),
+        (lambda: regions(2, 1, cap="x"), "cap 'x' is not an integer"),
+        (lambda: HyperTree(3, 3, (1, 2, 3)), "expected groups of vertex labels, got 1"),
+        (lambda: HyperTree(3, 3, 5), "expected groups of vertex labels, got 5"),
+        (lambda: Matching(1, (1, 2)), "expected groups of block member labels, got 1"),
+        (lambda: Matching(2, ((1, 2), 3)), "expected groups of block member labels, got 3"),
     ],
     ids=[
         "tree-float-vertex", "parking_to_tree-float", "decode-float-code", "simulate-float",
         "tree-bool-vertex", "matching-float-member", "tree-none-vertex", "matching-str-member",
         "count_parking-float-k", "tree_size-float-n", "count-bool-n", "code-float-n",
         "enumerate-float-n", "egf-float-order", "recursive-float-n", "regions-float-m",
+        "enumerate-none-cap", "enumerate-no-trees-float-cap", "parking-none-cap",
+        "parking-float-cap", "regions-str-cap", "tree-int-edge", "tree-int-edges",
+        "matching-int-blocks", "matching-int-block",
     ],
 )
 def test_non_integer_refusals(call, message):

@@ -225,6 +225,31 @@ class TestWitnessSatisfies:
             ValidationError, "witness entries must be rational"
         )
 
+    @pytest.mark.parametrize("m,r", [(4, 2), (5, 1), (3, 3)])
+    def test_every_single_sign_flip_fails(self, m, r):
+        # the witness is strictly inside its region, so it lies on the wrong
+        # side of whichever hyperplane has its sign flipped
+        hps = build_arrangement(m, r)
+        for reg in regions(m, r):
+            for h in range(len(hps)):
+                signs = reg.signs[:h] + (-reg.signs[h],) + reg.signs[h + 1:]
+                assert witness_satisfies(Region(signs, reg.witness), hps) is False
+
+    def test_int_witness(self):
+        # x_1 - x_2 = 2 lies above both hyperplanes x_1 - x_2 = 0 and = 1; 1 lies on one
+        hps = build_arrangement(2, 1)
+        assert witness_satisfies(Region((1, 1), (2, 0)), hps)
+        assert not witness_satisfies(Region((1, 1), (1, 0)), hps)
+
+    def test_rational_that_is_not_a_fraction(self):
+        # a Fraction subclass takes the generic Rational path
+        class SubFraction(Fraction):
+            pass
+
+        hps = build_arrangement(2, 1)
+        assert witness_satisfies(Region((1, -1), (SubFraction(1, 2), 0)), hps)
+        assert not witness_satisfies(Region((1, 1), (SubFraction(1, 2), 0)), hps)
+
     def test_int_and_mixed_denominators(self):
         hps = build_arrangement(3, 1)
         # differences 4/3, 5/2 and 7/6 over the common denominator 6
