@@ -214,21 +214,18 @@ def _check_shi(_max_n: int) -> Iterator[tuple[bool, str]]:
         n_regions = len(regs)
         n_parking = parking.count_parking(k, r)
         n_trees = prufer.count_trees_for_matching(r * k + 1, r + 1)
-        # distinct r-parking labels, and |chi(1)| = (rk-1)^(k-1) bounded regions
-        labels = [_pak_stanley_label(reg, k) for reg in regs]
-        labelled = len(set(labels)) == n_regions and all(parking.is_r_parking(a, r) for a in labels)
+        # |chi(1)| = (rk-1)^(k-1) bounded regions
         bounded = sum(reg.bounded for reg in regs) == (r * k - 1) ** (k - 1)
-        # bounded regions carry exactly the prime r-parking functions (sorted, b_i <= r*i - 1
-        # for i >= 1), the dominant chamber (every c >= 0) exactly the weakly decreasing
-        # ones, and labels map to distinct trees (parking_to_tree refuses a non-parking one)
+        # the labels are a bijection onto the r-parking functions; bounded regions carry
+        # exactly the prime ones (sorted, b_i <= r*i - 1 for i >= 1), the dominant chamber
+        # (every c >= 0) exactly the weakly decreasing ones, and labels map to distinct trees
+        region_of = {_pak_stanley_label(reg, k): reg for reg in regs}
         funcs = list(parking.enumerate_parking(k, r))
-        prime = {a for a in funcs if all(x < r * i for i, x in enumerate(sorted(a)) if i)}
-        decreasing = {a for a in funcs if all(x >= y for x, y in zip(a, a[1:]))}
-        chained = labelled and (
-            {a for a, reg in zip(labels, regs) if reg.bounded} == prime
-            and {a for a, reg in zip(labels, regs) if min(reg.intervals) >= 0} == decreasing
-            and len({bijection.parking_to_tree(a, r) for a in labels}) == n_regions
-        )
+        chained = len(region_of) == n_regions and region_of.keys() == set(funcs) and all(
+            reg.bounded == all(x < r * i for i, x in enumerate(sorted(a)) if i)
+            and (min(reg.intervals) >= 0) == all(x >= y for x, y in zip(a, a[1:]))
+            for a, reg in region_of.items()
+        ) and len({bijection.parking_to_tree(a, r) for a in region_of}) == n_regions
         yield (
             witnessed and chained and bounded and n_regions == n_parking == n_trees,
             f"shi-triangle k={k} r={r} "

@@ -309,19 +309,16 @@ def enumerate_matchings(m: int, b: int) -> Iterator[Matching]:
         return
     if total > DEFAULT_CAP:
         raise ResourceCapError(f"{total} matchings exceed cap {DEFAULT_CAP}")
-    blocks: list[tuple[int, ...]] = []
 
-    def rec(remaining: list[int]) -> Iterator[Matching]:
+    def rec(remaining: list[int], blocks: tuple) -> Iterator[Matching]:
         if not remaining:
-            yield Matching(b, tuple(blocks))
+            yield Matching(b, blocks)
             return
         first, rest = remaining[0], remaining[1:]
         for partners in combinations(rest, b - 1):
-            blocks.append((first,) + partners)
-            yield from rec([v for v in rest if v not in partners])
-            blocks.pop()
+            yield from rec([v for v in rest if v not in partners], blocks + ((first,) + partners,))
 
-    yield from rec(list(range(1, m + 1)))
+    yield from rec(list(range(1, m + 1)), ())
 
 
 # ---------------------------------------------------------------------------

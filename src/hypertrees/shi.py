@@ -37,7 +37,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import inf, lcm
 from numbers import Rational
-from operator import itemgetter
 
 from .core import ResourceCapError, ValidationError, _check_labels
 from .parking import _check_domain
@@ -180,12 +179,9 @@ def regions(m: int, r: int, cap: int = DEFAULT_REGION_CAP) -> list[Region]:
                 nxt.append((cs + (c,), _tighten(d, i, j, hi, -lo)))
         partial = nxt
     coords: dict[int, Fraction] = {}
-    last = itemgetter(-1)
-    # a closed DBM has d[a][b] <= d[a][-1] + d[-1][b], so it is finite
-    # everywhere when its last row and last column are (m = 0: no rows)
     return [
         Region(sum(map(blocks.__getitem__, cs), ()), _witness(d, coords), cs,
-               not d or (inf not in d[-1] and inf not in map(last, d)))
+               all(inf not in row for row in d))
         for cs, d in partial
     ]
 
