@@ -55,9 +55,10 @@ def _check_labels(values: Iterable, lo: int | None, hi: int | None, what: str) -
 def _canonical(groups: Iterable, what: str) -> tuple[tuple[int, ...], ...]:
     """Each group sorted, then the groups sorted; refuses groups and labels that do not sort."""
     try:
+        groups = tuple(groups)  # a tuple comes back as itself; a generator is read once
         return tuple(sorted(tuple(sorted(g)) for g in groups))
     except TypeError:  # a group (or ``groups``) that is not iterable, or a str or None among ints
-        for g in groups if isinstance(groups, Iterable) else (groups,):
+        for g in groups if isinstance(groups, tuple) else (groups,):
             if not isinstance(g, Iterable):
                 raise ValidationError(f"expected groups of {what} labels, got {g!r}") from None
         _check_labels([v for g in groups for v in g], None, None, what)

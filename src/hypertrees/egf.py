@@ -41,7 +41,7 @@ def compose(f: Sequence[int], g: Sequence[int]) -> Series:
     for series in (f, g):
         if not series:
             raise ValidationError("series needs at least the constant term")
-        if not all(isinstance(c, int) for c in series):
+        if not all(type(c) is int for c in series):  # bool is refused
             raise ValidationError("series coefficients must be integer counts")
     if g[0] != 0:
         raise ValidationError("composition needs a zero constant term")

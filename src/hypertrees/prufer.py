@@ -43,8 +43,8 @@ class PruferCode:
         _check_labels((self.n,), None, None, "size")
         if self.n < 1:
             raise ValidationError("vertex count must be positive")
+        object.__setattr__(self, "entries", tuple(self.entries))  # read a one-shot iterable once
         _check_labels(self.entries, 1, self.n, "code entry")
-        object.__setattr__(self, "entries", tuple(self.entries))
 
 
 def parse_code(text: str, n: int) -> PruferCode:

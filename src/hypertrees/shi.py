@@ -10,24 +10,7 @@ interval of x_i - x_j per pair: (r, oo), (r-1, r), .., (-oo, -r+1).  The
 search picks an interval per pair and keeps the strict bounds picked so far
 in a difference-bound matrix (DBM) closed under shortest paths, which shows
 at once which intervals are consistent with them: every kept branch is a
-region.  The closed bounds give L = -d[j][i] < x_i - x_j < U = d[i][j], so
-the intervals (c, c+1) that meet (L, U) are exactly
-min(r, max(U - 1, -r)) >= c >= max(-r, min(L, r)), the ends c = r and
-c = -r being open on one side.  A child DBM shares with its parent every
-row the new bounds leave as it was: rows are replaced, never changed in
-place.  A rational witness is read off the closed bounds with the last
-coordinate pinned to zero.
-
-A branch holds only the interval indices it chose and its DBM.  Each region
-expands its sign vector from the indices once, and keeps them and whether
-its closed DBM is finite everywhere, that is, bounded modulo the all-ones
-line.
-
-Every finite bound is an integer, and x_v is placed at the midpoint of two
-values whose denominators divide 2^(v-1), or one step past one of them, so
-its own denominator divides 2^v and the whole witness lies on the grid
-2^-(m-1) Z^m: it is placed in the integers 2^(m-1) x_v and checked over one
-common denominator.
+region, and a rational witness is read off its closed bounds.
 """
 
 from __future__ import annotations

@@ -376,7 +376,9 @@ class TestVerifyStreaming:
 # --json --verify` row, set when `--json --verify` became one JSON object
 # holding the rows and the functional-equation verdict, and the `enumerate
 # --n 10 --r 4` row (28,000 trees), taken from the union-find enumerator
-# before the search passed component labels down instead.
+# before the search passed component labels down instead, and the `verify
+# --suite fibers` and `--suite prufer` rows at `--max-n 5`, set to cover the
+# rows each suite skips when n > max-n.
 EMPTY = hashlib.sha256(b"").hexdigest()
 T7 = "'1,2,3;3,4,7;3,5,6'"
 T9 = "'1,2,3;3,4,9;3,5,6;4,7,8'"
@@ -475,6 +477,10 @@ GOLDEN = [
      0, "9b394e14701694efb2b362c711184ff48d69eed624a54eabf012c49c029c48e0"),
     ("verify --suite parking --max-n 5",
      0, "b431448a08f2b8adcc1152eb3c643d5dff97a245e7b39393235b75a3d33d1465"),
+    ("verify --suite fibers --max-n 5",
+     0, "f40f2686a677343a6ba855aa92ecc039ec6160a7a0da936db8b519644b985bca"),
+    ("verify --suite prufer --max-n 5",
+     0, "d57ac196c53bf3a1dbabea7eab1f2f38f60dd5c49b470e7675d884f41a481204"),
     ("", 2, EMPTY),
     ("frobnicate", 2, EMPTY),
     ("count --r 3", 2, EMPTY),

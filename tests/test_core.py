@@ -339,6 +339,11 @@ class TestMatchingType:
         with pytest.raises(ValidationError):
             Matching(2, ((1, 2), (4, 5)))
 
+    def test_one_shot_groups_read_once(self):
+        m = Matching(2, (b for b in [(3, 4), (1, 2)]))
+        assert m == Matching(2, ((1, 2), (3, 4)))
+        assert HyperTree(3, 3, (e for e in [(3, 2, 1)])).edges == ((1, 2, 3),)
+
 
 @pytest.mark.parametrize(
     "make,args,message",
@@ -346,13 +351,14 @@ class TestMatchingType:
         (HyperTree, (0, 3, ()), "vertex count must be positive"),
         (HyperTree, (3, 1, ()), "uniformity must be at least 2"),
         (Matching, (2, ((1, 2), (3,))), "block (3,) has size 1, expected 2"),
+        (Matching, (0, ()), "block size must be positive"),
         # size and repeats are checked ahead of the vertex range
         (HyperTree, (3, 3, ((1, 2, 3, 4),)), "hyperedge (1, 2, 3, 4) has size 4, expected 3"),
         (HyperTree, (5, 3, ((0, 0, 6),)), "hyperedge (0, 0, 6) repeats a vertex"),
         (HyperTree, (5, 3, ((0, 2, 3),)), "vertex 0 outside [1, 5]"),
     ],
-    ids=["tree-n0", "tree-r1", "matching-short-block", "tree-long-edge", "tree-repeat",
-         "tree-vertex-0"],
+    ids=["tree-n0", "tree-r1", "matching-short-block", "matching-b0", "tree-long-edge",
+         "tree-repeat", "tree-vertex-0"],
 )
 def test_construction_refusals(make, args, message):
     assert outcome(make, *args) == (ValidationError, message)

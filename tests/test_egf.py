@@ -49,7 +49,9 @@ class TestCompose:
         )
 
     @pytest.mark.parametrize(
-        "f,g", [((1, Fraction(1, 2)), (0, 1)), ((1, 1), (0, 1.0))], ids=["fraction", "float"]
+        "f,g",
+        [((1, Fraction(1, 2)), (0, 1)), ((1, 1), (0, 1.0)), ((1, True), (0, 1))],
+        ids=["fraction", "float", "bool"],
     )
     def test_non_integer_entry_rejected(self, f, g):
         assert outcome(compose, f, g) == (
@@ -148,6 +150,12 @@ class TestFunctionalEquation:
 
     def test_non_integer_tree_count_rejected(self):
         assert outcome(verify_functional_equation, 3, 2, [0, 1, Fraction(1, 2)]) == (
+            ValidationError, "series coefficients must be integer counts"
+        )
+
+    def test_bool_tree_count_rejected(self):
+        # True == 1 would otherwise let [0, True, 0] pass as the counts 0, 1, 0
+        assert outcome(verify_functional_equation, 3, 2, [0, True, 0]) == (
             ValidationError, "series coefficients must be integer counts"
         )
 

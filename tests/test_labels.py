@@ -149,6 +149,11 @@ def test_every_entry_point_refuses_a_non_integer(data):
         (lambda: HyperTree(3, 3, 5), "expected groups of vertex labels, got 5"),
         (lambda: Matching(1, (1, 2)), "expected groups of block member labels, got 1"),
         (lambda: Matching(2, ((1, 2), 3)), "expected groups of block member labels, got 3"),
+        # one-shot iterables of groups are read once, so the refusal names the first bad value
+        (lambda: HyperTree(3, 3, (e for e in [(1, 2, "3")])), "vertex '3' is not an integer"),
+        (lambda: Matching(2, (b for b in [(1, None), (3, 4)])),
+         "block member None is not an integer"),
+        (lambda: HyperTree(3, 3, iter((1, 2, 3))), "expected groups of vertex labels, got 1"),
     ],
     ids=[
         "tree-float-vertex", "parking_to_tree-float", "decode-float-code", "simulate-float",
@@ -158,6 +163,7 @@ def test_every_entry_point_refuses_a_non_integer(data):
         "enumerate-none-cap", "enumerate-no-trees-float-cap", "parking-none-cap",
         "parking-float-cap", "regions-str-cap", "tree-int-edge", "tree-int-edges",
         "matching-int-blocks", "matching-int-block",
+        "tree-one-shot-str-vertex", "matching-one-shot-none-member", "tree-one-shot-int-edge",
     ],
 )
 def test_non_integer_refusals(call, message):

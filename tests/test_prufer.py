@@ -61,6 +61,14 @@ class TestDecode:
         t = decode(PruferCode(9, (3, 3, 4)), m, 3)
         assert t.edges == ((1, 2, 3), (3, 4, 9), (3, 5, 6), (4, 7, 8))
 
+    def test_one_shot_entries_read_once(self):
+        # the entries are checked after they are stored, not read a second
+        # time from an exhausted iterator
+        code = PruferCode(9, iter((3, 3, 4)))
+        assert code == PruferCode(9, (3, 3, 4))
+        m = parse_matching("1,2|3,4|5,6|7,8", 2)
+        assert decode(code, m, 3) == decode(PruferCode(9, (3, 3, 4)), m, 3)
+
     def test_wrong_code_length_rejected(self):
         m = parse_matching("1,2|3,4", 2)
         with pytest.raises(ValidationError):
