@@ -30,7 +30,8 @@ from .parking import is_r_parking
 
 def consecutive_matching(k: int, block_size: int) -> Matching:
     """The matching {1..b | b+1..2b | ...} with k blocks of size b."""
-    _check_labels((k, block_size), None, None, "size")
+    _check_labels((k,), 0, None, "size")
+    _check_labels((block_size,), None, None, "size")
     blocks = tuple(
         tuple(range(i * block_size + 1, (i + 1) * block_size + 1)) for i in range(k)
     )

@@ -62,7 +62,7 @@ def _canonical(groups: Iterable, what: str) -> tuple[tuple[int, ...], ...]:
             if not isinstance(g, Iterable):
                 raise ValidationError(f"expected groups of {what} labels, got {g!r}") from None
         _check_labels([v for g in groups for v in g], None, None, what)
-        raise
+        raise ValidationError(f"{what} labels are not all integers") from None  # a one-shot group
 
 
 @dataclass(frozen=True)

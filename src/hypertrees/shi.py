@@ -148,19 +148,15 @@ def regions(m: int, r: int, cap: int = DEFAULT_REGION_CAP) -> list[Region]:
     partial: list[tuple[tuple[int, ...], Bounds]] = [((), start)]
     tried = 0
     for i, j in combinations(range(m), 2):
-        nxt = []
-        for cs, d in partial:
-            tried += 2 * r + 1
-            if tried > cap:
-                # counted one at a time, the choices stop at the first past the cap
-                raise ResourceCapError(
-                    f"region search tried {max(cap, 0) + 1} intervals, cap {cap}"
-                )
-            for c in _intervals(d, i, j, r):
-                lo = c if c > -r else -inf
-                hi = c + 1 if c < r else inf
-                nxt.append((cs + (c,), _tighten(d, i, j, hi, -lo)))
-        partial = nxt
+        tried += (2 * r + 1) * len(partial)
+        if tried > cap:
+            # counted one at a time, the choices stop at the first past the cap
+            raise ResourceCapError(f"region search tried {max(cap, 0) + 1} intervals, cap {cap}")
+        partial = [
+            (cs + (c,), _tighten(d, i, j, c + 1 if c < r else inf, -c if c > -r else inf))
+            for cs, d in partial
+            for c in _intervals(d, i, j, r)
+        ]
     coords: dict[int, Fraction] = {}
     return [
         Region(sum(map(blocks.__getitem__, cs), ()), _witness(d, coords), cs,
@@ -179,7 +175,7 @@ def witness_satisfies(region: Region, hyperplanes: tuple[Hyperplane, ...]) -> bo
     if len(w) != m:
         side = "fewer" if len(w) < m else "more"
         raise ValidationError(f"witness has {side} coordinates than the arrangement")
-    if not set(region.signs) <= {1, -1}:
+    if not set(region.signs) <= {1, -1} or not set(map(type, region.signs)) <= {int}:
         raise ValidationError("signs must be +1 or -1")
     if not all([type(x) is Fraction or isinstance(x, Rational) for x in w]):
         raise ValidationError("witness entries must be rational")

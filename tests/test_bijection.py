@@ -56,6 +56,19 @@ class TestTreeToParking:
             assert is_r_parking(image, r)
 
 
+@pytest.mark.parametrize(
+    "k,block_size,expected",
+    [
+        (-1, 2, (ValidationError, "negative size -1")),
+        (-3, 0, (ValidationError, "negative size -3")),
+        (2, 0, (ValidationError, "block size must be positive")),
+        (0, 2, Matching(2, ())),
+    ],
+)
+def test_consecutive_matching_sizes(k, block_size, expected):
+    assert outcome(consecutive_matching, k, block_size) == expected
+
+
 class TestParkingToTree:
     def test_examples(self):
         assert parking_to_tree((0, 0), 2).edges == ((1, 2, 5), (3, 4, 5))

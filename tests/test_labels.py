@@ -154,6 +154,10 @@ def test_every_entry_point_refuses_a_non_integer(data):
         (lambda: Matching(2, (b for b in [(1, None), (3, 4)])),
          "block member None is not an integer"),
         (lambda: HyperTree(3, 3, iter((1, 2, 3))), "expected groups of vertex labels, got 1"),
+        # a one-shot group is read empty after sorting fails, so no value can be named
+        (lambda: HyperTree(3, 3, [iter([1, 2, "3"])]), "vertex labels are not all integers"),
+        (lambda: Matching(2, [iter([1, None]), (3, 4)]),
+         "block member labels are not all integers"),
     ],
     ids=[
         "tree-float-vertex", "parking_to_tree-float", "decode-float-code", "simulate-float",
@@ -164,6 +168,7 @@ def test_every_entry_point_refuses_a_non_integer(data):
         "parking-float-cap", "regions-str-cap", "tree-int-edge", "tree-int-edges",
         "matching-int-blocks", "matching-int-block",
         "tree-one-shot-str-vertex", "matching-one-shot-none-member", "tree-one-shot-int-edge",
+        "tree-one-shot-group", "matching-one-shot-group",
     ],
 )
 def test_non_integer_refusals(call, message):

@@ -55,11 +55,29 @@ class TestCountRegions:
 
     def test_cap_counts_every_interval_of_a_branch(self):
         # 4,360 is what trying all 2r+1 intervals of each of (4,2)'s branches
-        # one by one adds up to; a cap one below it refuses at the last branch
+        # adds up to; a cap one below it refuses before the last level is
+        # built, with the message of a count made one interval at a time
         assert len(regions(4, 2, cap=4360)) == 729
         with pytest.raises(ResourceCapError) as exc:
             regions(4, 2, cap=4359)
         assert str(exc.value) == "region search tried 4360 intervals, cap 4359"
+
+    @pytest.mark.parametrize(
+        "m,r,total", [(2, 1, 3), (3, 1, 39), (2, 2, 5), (3, 2, 155), (2, 3, 7)]
+    )
+    def test_cap_decision_over_every_cap(self, m, r, total):
+        # total counts all 2r+1 interval choices of every branch of every
+        # pair; the search answers exactly when the cap covers it
+        answer = regions(m, r)
+        for cap in range(-1, total + 2):
+            if cap >= total:
+                assert regions(m, r, cap) == answer
+            else:
+                with pytest.raises(ResourceCapError) as exc:
+                    regions(m, r, cap)
+                assert str(exc.value) == (
+                    f"region search tried {max(cap, 0) + 1} intervals, cap {cap}"
+                )
 
     def test_repeated_calls_agree(self):
         # child DBMs share rows with their parents and regions share witness
@@ -210,9 +228,11 @@ class TestWitnessSatisfies:
         )
         assert outcome(witness_satisfies, region, build_arrangement(m, 1)) == expected
 
-    @pytest.mark.parametrize("signs", [(2, 2), (0, 0)])
+    @pytest.mark.parametrize("signs", [(2, 2), (0, 0), (True, -1), (1, -1.0)])
     def test_sign_outside_plus_minus_one_rejected(self, signs):
-        region = Region(signs, (Fraction(5), Fraction(0)))
+        # x_1 - x_2 = 1/2 lies in the region (1, -1); a bool or a float sign
+        # is refused although it compares equal to the right one
+        region = Region(signs, (Fraction(1, 2), Fraction(0)))
         assert outcome(witness_satisfies, region, build_arrangement(2, 1)) == (
             ValidationError, "signs must be +1 or -1"
         )
