@@ -43,6 +43,7 @@ from .shi import (
     Hyperplane,
     Region,
     build_arrangement,
+    iter_regions,
     regions,
     witness_satisfies,
 )

@@ -98,20 +98,21 @@ def _cmd_egf(args) -> Iterator[str]:
 
 
 def _cmd_shi_regions(args) -> list[str]:
-    regs = shi.regions(args.k, args.r, cap=args.cap)
+    found = shi.iter_regions(args.k, args.r, cap=args.cap)
     rows = [
         (
             "".join("+" if s > 0 else "-" for s in reg.signs),
             [f"{x.numerator}/{x.denominator}" for x in reg.witness],
         )
-        for reg in (regs if args.witnesses else ())
+        for reg in (found if args.witnesses else ())
     ]
+    count = len(rows) + sum(1 for _ in found)  # without --witnesses, no region is kept
     if args.json:
-        payload = {"k": args.k, "r": args.r, "count": len(regs)}
+        payload = {"k": args.k, "r": args.r, "count": count}
         if args.witnesses:
             payload["regions"] = [{"signs": signs, "witness": point} for signs, point in rows]
         return [json.dumps(payload)]
-    return [str(len(regs)), *(f"{signs} {' '.join(point)}" for signs, point in rows)]
+    return [str(count), *(f"{signs} {' '.join(point)}" for signs, point in rows)]
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,10 @@ sign vector over the hyperplane list.
 
 Every hyperplane bounds a coordinate difference, so a region is one open
 interval of x_i - x_j per pair: (r, oo), (r-1, r), .., (-oo, -r+1).  The
-search picks an interval per pair and keeps the strict bounds picked so far
-in a difference-bound matrix (DBM) closed under shortest paths, which shows
-at once which intervals are consistent with them: every kept branch is a
-region, and a rational witness is read off its closed bounds.
+search picks an interval per pair, depth first, and keeps the strict bounds
+picked on its path in a difference-bound matrix (DBM) closed under shortest
+paths, which shows at once which intervals are consistent with them: every
+kept branch is a region, and a rational witness is read off its closed bounds.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import inf, lcm
 from numbers import Rational
+from typing import Iterator
 
 from .core import ResourceCapError, ValidationError, _check_labels
 from .parking import _check_domain
@@ -129,40 +130,62 @@ def _witness(d: Bounds, coords: dict[int, Fraction]) -> tuple[Fraction, ...]:
     return tuple(map(coords.__getitem__, point))
 
 
-def regions(m: int, r: int, cap: int = DEFAULT_REGION_CAP) -> list[Region]:
-    """All regions of the arrangement, with witnesses, in sign-vector order.
-
-    Each pair i < j in turn keeps, from the top one down, the intervals that
-    meet the interval the closed bounds imply for x_i - x_j (``_intervals``).
-    Interval (c, c+1) gives +1 to each hyperplane constant <= c, so the
-    top-down order lists sign vectors with +1 before -1.  ``cap`` bounds the
-    number of interval choices tried, counting all 2r+1 per branch.
-    """
+def iter_regions(m: int, r: int, cap: int = DEFAULT_REGION_CAP) -> Iterator[Region]:
+    """The regions of ``regions``, in its order, one at a time: only the DBMs
+    on the current search path and their siblings are held, so memory stays
+    flat in the region count.  The arguments are checked at the call and the
+    cap as the search reaches it, so a refused stream may already have
+    yielded regions."""
     _check_domain(m, r)
     _check_labels((cap,), None, None, "cap")
-    blocks = {
-        c: tuple(1 if h <= c else -1 for h in range(-r + 1, r + 1))
-        for c in range(-r, r + 1)
-    }
-    start = [[0 if a == b else inf for b in range(m)] for a in range(m)]
-    partial: list[tuple[tuple[int, ...], Bounds]] = [((), start)]
+    return _search(m, r, cap)
+
+
+def _search(m: int, r: int, cap: int) -> Iterator[Region]:
+    """``iter_regions`` after its checks.  A branch (signs, cs, d) holds its
+    sign prefix, its interval index per pair so far and its closed DBM; the
+    branches wait on a stack, since C(m,2) nested generators pass Python's
+    recursion limit at m = 46, before the default cap refuses the search."""
+    # interval c of a pair: its signs, and its bounds on x_i - x_j and x_j - x_i
+    blocks = {c: tuple(1 if h <= c else -1 for h in range(-r + 1, r + 1))
+              for c in range(-r, r + 1)}
+    ends = {c: (c + 1 if c < r else inf, -c if c > -r else inf) for c in range(-r, r + 1)}
+    pairs = tuple(combinations(range(m), 2))
+    if not pairs:  # m = 0, 1: the whole space, with x_m = 0
+        yield Region((), (Fraction(0),) * m, (), True)
+        return
+    coords: dict[int, Fraction] = {}
     tried = 0
-    for i, j in combinations(range(m), 2):
-        tried += (2 * r + 1) * len(partial)
+    stack = [((), (), [[0 if a == b else inf for b in range(m)] for a in range(m)])]
+    while stack:
+        signs, cs, d = stack.pop()
+        tried += 2 * r + 1
         if tried > cap:
             # counted one at a time, the choices stop at the first past the cap
             raise ResourceCapError(f"region search tried {max(cap, 0) + 1} intervals, cap {cap}")
-        partial = [
-            (cs + (c,), _tighten(d, i, j, c + 1 if c < r else inf, -c if c > -r else inf))
-            for cs, d in partial
-            for c in _intervals(d, i, j, r)
-        ]
-    coords: dict[int, Fraction] = {}
-    return [
-        Region(sum(map(blocks.__getitem__, cs), ()), _witness(d, coords), cs,
-               all(inf not in row for row in d))
-        for cs, d in partial
-    ]
+        i, j = pairs[len(cs)]
+        if len(cs) + 1 < len(pairs):  # popped last, the top interval is entered first
+            stack += [(signs + blocks[c], cs + (c,), _tighten(d, i, j, *ends[c]))
+                      for c in reversed(_intervals(d, i, j, r))]
+        else:  # the last pair: each interval left is a region
+            for c in _intervals(d, i, j, r):
+                e = _tighten(d, i, j, *ends[c])
+                yield Region(signs + blocks[c], _witness(e, coords), cs + (c,),
+                             all(inf not in row for row in e))
+
+
+def regions(m: int, r: int, cap: int = DEFAULT_REGION_CAP) -> list[Region]:
+    """All regions of the arrangement, with witnesses, in sign-vector order.
+
+    Depth first, each pair i < j in turn keeps, from the top one down, the
+    intervals that meet the interval the closed bounds imply for x_i - x_j
+    (``_intervals``), and searches each to the last pair before the next.
+    Interval (c, c+1) gives +1 to each hyperplane constant <= c, so the
+    top-down order lists sign vectors with +1 before -1.  ``cap`` bounds the
+    number of interval choices tried, counting all 2r+1 of a branch as it is
+    entered, a total that does not depend on the search order.
+    """
+    return list(iter_regions(m, r, cap))
 
 
 def witness_satisfies(region: Region, hyperplanes: tuple[Hyperplane, ...]) -> bool:

@@ -14,7 +14,14 @@ from hypertrees.cli import main
 from hypertrees.core import ResourceCapError, ValidationError
 from hypertrees.parking import count_parking
 from hypertrees.prufer import count_trees_for_matching
-from hypertrees.shi import Hyperplane, Region, build_arrangement, regions, witness_satisfies
+from hypertrees.shi import (
+    Hyperplane,
+    Region,
+    build_arrangement,
+    iter_regions,
+    regions,
+    witness_satisfies,
+)
 
 from conftest import outcome
 from reference import shi_witness
@@ -42,12 +49,7 @@ class TestCountRegions:
     def test_values(self, m, r, expected):
         assert len(regions(m, r)) == expected
 
-    def test_cap_refusal(self):
-        with pytest.raises(ResourceCapError) as exc:
-            regions(3, 2, cap=10)
-        assert str(exc.value) == "region search tried 11 intervals, cap 10"
-
-    @pytest.mark.parametrize("cap", [0, -5])
+    @pytest.mark.parametrize("cap", [-5])
     def test_cap_below_one_refuses_at_first_interval(self, cap):
         with pytest.raises(ResourceCapError) as exc:
             regions(3, 2, cap=cap)
@@ -67,17 +69,19 @@ class TestCountRegions:
     )
     def test_cap_decision_over_every_cap(self, m, r, total):
         # total counts all 2r+1 interval choices of every branch of every
-        # pair; the search answers exactly when the cap covers it
+        # pair; the search, as a list or drained as a stream, answers
+        # exactly when the cap covers it
         answer = regions(m, r)
-        for cap in range(-1, total + 2):
-            if cap >= total:
-                assert regions(m, r, cap) == answer
-            else:
-                with pytest.raises(ResourceCapError) as exc:
-                    regions(m, r, cap)
-                assert str(exc.value) == (
-                    f"region search tried {max(cap, 0) + 1} intervals, cap {cap}"
-                )
+        for search in (regions, lambda *args: list(iter_regions(*args))):
+            for cap in range(-1, total + 2):
+                if cap >= total:
+                    assert search(m, r, cap) == answer
+                else:
+                    with pytest.raises(ResourceCapError) as exc:
+                        search(m, r, cap)
+                    assert str(exc.value) == (
+                        f"region search tried {max(cap, 0) + 1} intervals, cap {cap}"
+                    )
 
     def test_repeated_calls_agree(self):
         # child DBMs share rows with their parents and regions share witness
@@ -130,6 +134,32 @@ class TestCountRegions:
         # reorder each sign vector; distinctness and count must be preserved
         shuffled = {tuple(s[i] for i in perm) for s in regs}
         assert len(shuffled) == len(regs) == 16
+
+
+class TestIterRegions:
+    @pytest.mark.parametrize(
+        "m,r", [(0, 1), (1, 1), (2, 1), (3, 2), (4, 2), (5, 1), (3, 3), (4, 3), (5, 2), (6, 1)]
+    )
+    def test_stream_equals_the_list(self, m, r):
+        assert list(iter_regions(m, r)) == regions(m, r)
+
+    @pytest.mark.parametrize("m,r", [(8, 2), (46, 1)])
+    def test_first_region_comes_before_the_search_ends(self, m, r):
+        # (8,2) has 17^7 regions, far past any cap; the first is the top
+        # interval of every pair, reached in one branch per pair.  The 1,035
+        # pairs of (46,1) nest deeper than Python's recursion limit
+        first = next(iter_regions(m, r, cap=10**15))
+        assert first.intervals == (r,) * (m * (m - 1) // 2)
+        assert witness_satisfies(first, build_arrangement(m, r))
+
+    def test_refused_stream_yields_before_it_refuses(self):
+        # depth first, the choices of (4,2) pass 4,359 after 724 regions
+        got = []
+        with pytest.raises(ResourceCapError) as exc:
+            for reg in iter_regions(4, 2, cap=4359):
+                got.append(reg)
+        assert got == regions(4, 2)[:724]
+        assert str(exc.value) == "region search tried 4360 intervals, cap 4359"
 
 
 FIELD_SIZES = [(2, 1), (3, 2), (4, 2), (5, 1), (3, 3), (4, 3), (3, 4)]
@@ -342,10 +372,12 @@ def test_tighten_leaves_its_input_unchanged(case):
 
 
 @pytest.mark.parametrize(
-    "f,m,r", [(build_arrangement, -1, 1), (regions, 2, 0), (regions, -1, 2)]
+    "f,m,r",
+    [(build_arrangement, -1, 1), (regions, 2, 0), (regions, -1, 2), (iter_regions, -1, 2)],
 )
 def test_parking_domain_refusal(f, m, r):
-    # the Shi side of the triangle has the domain of the parking side
+    # the Shi side of the triangle has the domain of the parking side;
+    # the stream refuses at the call, before any region is asked for
     assert outcome(f, m, r) == (ValidationError, "need k >= 0 and r >= 1")
 
 
