@@ -324,7 +324,7 @@ _COMMANDS = (
       ("verify", dict(action="store_true", help="also check the functional equation")))),
     ("shi regions", "count regions, optionally with witnesses", _cmd_shi_regions,
      ("json", "k", "r", ("witnesses", dict(action="store_true")),
-      ("cap", dict(type=int, default=shi.DEFAULT_REGION_CAP)))),
+      ("cap", dict(type=int, default=shi.DEFAULT_REGION_CAP, help="region cap")))),
     ("verify", "cross-theorem verification suites", _cmd_verify,
      (("suite", dict(choices=["all", *_SUITES], default="all")),
       ("max-n", dict(type=int, default=9)))),

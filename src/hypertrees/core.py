@@ -52,6 +52,16 @@ def _check_labels(values: Iterable, lo: int | None, hi: int | None, what: str) -
             raise ValidationError(f"{what} {v} outside [{lo}, {hi}]")
 
 
+def _check_power(base: int, exp: int, cap: int, what: str) -> None:
+    """Refuse base^exp > cap by its form ("region count 47^45 exceeds cap 50000"),
+    building no power past the cap: about log2(cap) products for base >= 2."""
+    power, done = 1, 0
+    while done < exp and power <= cap:
+        power, done = power * base, done + 1
+    if power > cap:
+        raise ResourceCapError(f"{what} {base}^{exp} exceeds cap {cap}")
+
+
 def _canonical(groups: Iterable, what: str) -> tuple[tuple[int, ...], ...]:
     """Each group sorted, then the groups sorted; refuses groups and labels that do not sort."""
     try:

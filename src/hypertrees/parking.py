@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator, Sequence
 
-from .core import DEFAULT_CAP, ResourceCapError, ValidationError, _check_labels, _int_groups
+from .core import DEFAULT_CAP, ValidationError, _check_labels, _check_power, _int_groups
 
 
 def _check_domain(k: int, r: int) -> None:
@@ -51,14 +51,13 @@ def enumerate_parking(k: int, r: int, cap: int = DEFAULT_CAP) -> Iterator[tuple[
     """All r-parking functions of length k in lexicographic order.
 
     Entries above r*(k-1) can never satisfy the sorted bound, so scanning
-    {0,..,r*(k-1)}^k is exhaustive; for k = 0 the empty sequence is the
-    only one, as ``count_parking(0, r)`` says.
+    {0,..,r*(k-1)}^k is exhaustive; for k = 0 the empty sequence, the one
+    point of {0}^0, is the only one, as ``count_parking(0, r)`` says.
     """
     _check_domain(k, r)
     _check_labels((cap,), None, None, "cap")
-    top = r * (k - 1)
-    if (top + 1) ** k > cap:
-        raise ResourceCapError(f"search space {(top + 1) ** k} exceeds cap {cap}")
+    top = r * max(k - 1, 0)
+    _check_power(top + 1, k, cap, "search space")
     for a in product(range(top + 1), repeat=k):
         if _fits(a, r):  # entries from ``range``: no check needed
             yield a

@@ -22,10 +22,10 @@ from math import inf, lcm
 from numbers import Rational
 from typing import Iterator
 
-from .core import ResourceCapError, ValidationError, _check_labels
+from .core import ValidationError, _check_labels, _check_power
 from .parking import _check_domain
 
-DEFAULT_REGION_CAP = 500_000
+DEFAULT_REGION_CAP = 50_000
 
 # d[a][b] is the tightest strict bound x_a - x_b < d[a][b] (inf: none)
 Bounds = list[list[float]]
@@ -131,47 +131,34 @@ def _witness(d: Bounds, coords: dict[int, Fraction]) -> tuple[Fraction, ...]:
 
 
 def iter_regions(m: int, r: int, cap: int = DEFAULT_REGION_CAP) -> Iterator[Region]:
-    """The regions of ``regions``, in its order, one at a time: only the DBMs
-    on the current search path and their siblings are held, so memory stays
-    flat in the region count.  The arguments are checked at the call and the
-    cap as the search reaches it, so a refused stream may already have
-    yielded regions."""
+    """The regions of ``regions``, in its order, one at a time, holding only the
+    DBMs on the search path and their siblings.  The arguments and the cap are
+    checked at the call, so a stream yields every region or none."""
     _check_domain(m, r)
     _check_labels((cap,), None, None, "cap")
-    return _search(m, r, cap)
+    _check_power(r * m + 1, max(m - 1, 0), cap, "region count")
+    return _search(m, r)
 
 
-def _search(m: int, r: int, cap: int) -> Iterator[Region]:
-    """``iter_regions`` after its checks.  A branch (signs, cs, d) holds its
-    sign prefix, its interval index per pair so far and its closed DBM; the
-    branches wait on a stack, since C(m,2) nested generators pass Python's
-    recursion limit at m = 46, before the default cap refuses the search."""
+def _search(m: int, r: int) -> Iterator[Region]:
+    """``iter_regions`` after its checks.  A branch (signs, cs, d), its sign prefix,
+    intervals so far and closed DBM, is a region once every pair has one; a stack
+    holds them, as C(m,2) nested generators pass the recursion limit at m = 46."""
     # interval c of a pair: its signs, and its bounds on x_i - x_j and x_j - x_i
     blocks = {c: tuple(1 if h <= c else -1 for h in range(-r + 1, r + 1))
               for c in range(-r, r + 1)}
     ends = {c: (c + 1 if c < r else inf, -c if c > -r else inf) for c in range(-r, r + 1)}
     pairs = tuple(combinations(range(m), 2))
-    if not pairs:  # m = 0, 1: the whole space, with x_m = 0
-        yield Region((), (Fraction(0),) * m, (), True)
-        return
     coords: dict[int, Fraction] = {}
-    tried = 0
     stack = [((), (), [[0 if a == b else inf for b in range(m)] for a in range(m)])]
     while stack:
         signs, cs, d = stack.pop()
-        tried += 2 * r + 1
-        if tried > cap:
-            # counted one at a time, the choices stop at the first past the cap
-            raise ResourceCapError(f"region search tried {max(cap, 0) + 1} intervals, cap {cap}")
-        i, j = pairs[len(cs)]
-        if len(cs) + 1 < len(pairs):  # popped last, the top interval is entered first
+        if len(cs) == len(pairs):
+            yield Region(signs, _witness(d, coords), cs, all(inf not in row for row in d))
+        else:  # popped last, the top interval is entered first
+            i, j = pairs[len(cs)]
             stack += [(signs + blocks[c], cs + (c,), _tighten(d, i, j, *ends[c]))
                       for c in reversed(_intervals(d, i, j, r))]
-        else:  # the last pair: each interval left is a region
-            for c in _intervals(d, i, j, r):
-                e = _tighten(d, i, j, *ends[c])
-                yield Region(signs + blocks[c], _witness(e, coords), cs + (c,),
-                             all(inf not in row for row in e))
 
 
 def regions(m: int, r: int, cap: int = DEFAULT_REGION_CAP) -> list[Region]:
@@ -182,8 +169,7 @@ def regions(m: int, r: int, cap: int = DEFAULT_REGION_CAP) -> list[Region]:
     (``_intervals``), and searches each to the last pair before the next.
     Interval (c, c+1) gives +1 to each hyperplane constant <= c, so the
     top-down order lists sign vectors with +1 before -1.  ``cap`` bounds the
-    number of interval choices tried, counting all 2r+1 of a branch as it is
-    entered, a total that does not depend on the search order.
+    region count (rm+1)^(m-1), checked before the search starts.
     """
     return list(iter_regions(m, r, cap))
 

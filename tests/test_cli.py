@@ -274,6 +274,17 @@ class TestErrorsAndDeterminism:
         code, _, err = run(capsys, "count", "--n", "13", "--r", "3", "--method", "brute", "--cap", "10")
         assert code == 4 and "resource-cap" in err
 
+    @pytest.mark.parametrize(
+        "command,message",
+        [
+            ("shi regions --k 46 --r 1", "region count 47^45 exceeds cap 50000"),
+            ("park enumerate --k 300000 --r 1", "search space 300000^300000 exceeds cap 100000000"),
+        ],
+    )
+    def test_huge_search_refuses_before_it_starts(self, capsys, command, message):
+        # the count is compared with the cap by its form, without building it
+        assert run(capsys, *command.split()) == (4, "", f"error: resource-cap: {message}\n")
+
     def test_verify_single_suite_deterministic(self, capsys):
         code1, out1, _ = run(capsys, "verify", "--suite", "shi")
         code2, out2, _ = run(capsys, "verify", "--suite", "shi")

@@ -103,6 +103,13 @@ class TestEnumerateParking:
         with pytest.raises(ResourceCapError):
             list(enumerate_parking(8, 3, cap=100))
 
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_length_zero_refuses_below_cap_one(self, r):
+        assert list(enumerate_parking(0, r, cap=1)) == [()]
+        with pytest.raises(ResourceCapError) as exc:
+            next(enumerate_parking(0, r, cap=0))
+        assert str(exc.value) == "search space 1^0 exceeds cap 0"
+
     @pytest.mark.parametrize("k,r", [(-1, 1), (2, 0)])
     def test_out_of_domain_rejected(self, k, r):
         with pytest.raises(ValidationError):

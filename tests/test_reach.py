@@ -16,8 +16,8 @@ pytestmark = pytest.mark.reach
 # time budgets: (5,3) 10 s, (6,2) 60 s; measured 3.1 s and 19.6 s
 @pytest.mark.parametrize("m,r", [(5, 3), (6, 2)])
 def test_shi_regions_streamed(m, r):
-    # 798,280 and 4,484,635 interval choices; the stream holds one path of
-    # the search, so memory stays flat over 65,536 and 371,293 regions
+    # 65,536 and 371,293 regions, within the cap of 10^7; the stream holds
+    # one path of the search, so memory stays flat as they are counted
     hyperplanes = build_arrangement(m, r)
     count = bounded = 0
     for reg in iter_regions(m, r, cap=10**7):

@@ -53,25 +53,25 @@ class TestCountRegions:
     def test_cap_below_one_refuses_at_first_interval(self, cap):
         with pytest.raises(ResourceCapError) as exc:
             regions(3, 2, cap=cap)
-        assert str(exc.value) == f"region search tried 1 intervals, cap {cap}"
+        assert str(exc.value) == f"region count 7^2 exceeds cap {cap}"
 
     def test_cap_counts_every_interval_of_a_branch(self):
-        # 4,360 is what trying all 2r+1 intervals of each of (4,2)'s branches
-        # adds up to; a cap one below it refuses before the last level is
-        # built, with the message of a count made one interval at a time
-        assert len(regions(4, 2, cap=4360)) == 729
+        # (4,2) has 9^3 = 729 regions: a cap of 729 answers, one below refuses
+        assert len(regions(4, 2, cap=729)) == 729
         with pytest.raises(ResourceCapError) as exc:
-            regions(4, 2, cap=4359)
-        assert str(exc.value) == "region search tried 4360 intervals, cap 4359"
+            regions(4, 2, cap=728)
+        assert str(exc.value) == "region count 9^3 exceeds cap 728"
 
     @pytest.mark.parametrize(
-        "m,r,total", [(2, 1, 3), (3, 1, 39), (2, 2, 5), (3, 2, 155), (2, 3, 7)]
+        "m,r,total",
+        [(2, 1, 3), (3, 1, 16), (2, 2, 5), (3, 2, 49), (2, 3, 7), (0, 2, 1), (1, 2, 1)],
     )
     def test_cap_decision_over_every_cap(self, m, r, total):
-        # total counts all 2r+1 interval choices of every branch of every
-        # pair; the search, as a list or drained as a stream, answers
-        # exactly when the cap covers it
+        # total is the region count (rm+1)^(m-1), one region for m <= 1; the
+        # search, as a list or drained as a stream, answers exactly when the
+        # cap covers it
         answer = regions(m, r)
+        assert len(answer) == total
         for search in (regions, lambda *args: list(iter_regions(*args))):
             for cap in range(-1, total + 2):
                 if cap >= total:
@@ -80,8 +80,19 @@ class TestCountRegions:
                     with pytest.raises(ResourceCapError) as exc:
                         search(m, r, cap)
                     assert str(exc.value) == (
-                        f"region search tried {max(cap, 0) + 1} intervals, cap {cap}"
+                        f"region count {r * m + 1}^{max(m - 1, 0)} exceeds cap {cap}"
                     )
+
+    @pytest.mark.parametrize(
+        "m,r,answers", [(6, 1, True), (5, 2, True), (5, 3, False), (6, 2, False)]
+    )
+    def test_default_cap(self, m, r, answers):
+        # 7^5 and 11^4 regions fit the default cap of 50,000; 16^4 and 13^5 do not
+        if answers:
+            assert sum(1 for _ in iter_regions(m, r)) == (r * m + 1) ** (m - 1)
+        else:
+            with pytest.raises(ResourceCapError):
+                iter_regions(m, r)
 
     def test_repeated_calls_agree(self):
         # child DBMs share rows with their parents and regions share witness
@@ -145,21 +156,25 @@ class TestIterRegions:
 
     @pytest.mark.parametrize("m,r", [(8, 2), (46, 1)])
     def test_first_region_comes_before_the_search_ends(self, m, r):
-        # (8,2) has 17^7 regions, far past any cap; the first is the top
-        # interval of every pair, reached in one branch per pair.  The 1,035
-        # pairs of (46,1) nest deeper than Python's recursion limit
-        first = next(iter_regions(m, r, cap=10**15))
+        # (8,2) has 17^7 regions; the first is the top interval of every
+        # pair, reached in one branch per pair.  The 1,035 pairs of (46,1)
+        # nest deeper than Python's recursion limit
+        first = next(iter_regions(m, r, cap=(r * m + 1) ** (m - 1)))
         assert first.intervals == (r,) * (m * (m - 1) // 2)
         assert witness_satisfies(first, build_arrangement(m, r))
 
-    def test_refused_stream_yields_before_it_refuses(self):
-        # depth first, the choices of (4,2) pass 4,359 after 724 regions
-        got = []
+    def test_refused_stream_refuses_at_the_call(self):
+        # the cap is checked against the region count before the search,
+        # so a refused stream never yields
         with pytest.raises(ResourceCapError) as exc:
-            for reg in iter_regions(4, 2, cap=4359):
-                got.append(reg)
-        assert got == regions(4, 2)[:724]
-        assert str(exc.value) == "region search tried 4360 intervals, cap 4359"
+            iter_regions(4, 2, cap=728)
+        assert str(exc.value) == "region count 9^3 exceeds cap 728"
+
+    @pytest.mark.parametrize("m", [200, 10**6])
+    def test_huge_count_refuses_at_the_call(self, m):
+        with pytest.raises(ResourceCapError) as exc:
+            iter_regions(m, 1)
+        assert str(exc.value) == f"region count {m + 1}^{m - 1} exceeds cap 50000"
 
 
 FIELD_SIZES = [(2, 1), (3, 2), (4, 2), (5, 1), (3, 3), (4, 3), (3, 4)]
