@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 DEFAULT_CAP = 10**8
@@ -52,14 +53,12 @@ def _check_labels(values: Iterable, lo: int | None, hi: int | None, what: str) -
             raise ValidationError(f"{what} {v} outside [{lo}, {hi}]")
 
 
-def _check_power(base: int, exp: int, cap: int, what: str) -> None:
-    """Refuse base^exp > cap by its form ("region count 47^45 exceeds cap 50000"),
-    building no power past the cap: about log2(cap) products for base >= 2."""
-    power, done = 1, 0
-    while done < exp and power <= cap:
-        power, done = power * base, done + 1
-    if power > cap:
-        raise ResourceCapError(f"{what} {base}^{exp} exceeds cap {cap}")
+def _check_cap(rising: Iterable[int], cap: int, what: str) -> None:
+    """Refuse a count above ``cap`` by its form ``what`` ("region count 47^45"),
+    never by its digits.  ``rising`` holds the count's partial products, which
+    never decrease and end at the count; none is read past the first above the cap."""
+    if any(p > cap for p in rising):
+        raise ResourceCapError(f"{what} exceeds cap {cap}")
 
 
 def _canonical(groups: Iterable, what: str) -> tuple[tuple[int, ...], ...]:
@@ -239,18 +238,17 @@ def enumerate_spanning_trees(
     Backtracks over lexicographically increasing edge sequences, pruning any
     prefix whose incidence graph already contains a cycle; a full selection
     of k acyclic hyperedges is connected automatically by the arc count.
-    Refuses up front when the unpruned search space C(C(n,r), k) exceeds
-    ``cap``.
+    Refuses up front, at the first ``next()``, when the unpruned search space
+    C(C(n,r), k) exceeds ``cap``.
     """
     k = tree_size(n, r)
     _check_labels((cap,), None, None, "cap")
     if k is None:
         return
     n_edges = math.comb(n, r)
-    if math.comb(n_edges, k) > cap:
-        raise ResourceCapError(
-            f"search space C({n_edges},{k}) exceeds cap {cap}"
-        )
+    # C(N-k+j, j) for j = 0..k rise to C(N, k), as k <= N
+    rising = (math.comb(n_edges - k + j, j) for j in range(k + 1))
+    _check_cap(rising, cap, f"search space C({n_edges},{k})")
     all_edges = list(combinations(range(1, n + 1), r))
 
     def extend(start: int, comp: Sequence[int], chosen: tuple) -> Iterator[HyperTree]:
@@ -276,21 +274,24 @@ def enumerate_spanning_trees(
 # closed-form counts
 
 
-def count_matchings_formula(m: int, b: int) -> int:
-    """Number of partitions of {1,..,m} into blocks of size b.
-
-    Repeatedly fix the smallest unplaced element and choose its b-1
-    partners: the product of C(j*b - 1, b - 1) over j = 1 .. m/b.
-    Zero when b does not divide m; one when m = 0 or b = 1.
-    """
+def _matching_factors(m: int, b: int) -> Iterator[int]:
+    """The factors C(j*b - 1, b - 1), j = 1 .. m/b, of the count of partitions of
+    {1,..,m} into size-b blocks (fix the smallest unplaced element, choose its b-1
+    partners), or one factor 0 when b does not divide m; m and b are checked at the call."""
     _check_labels((m, b), None, None, "size")
     if b < 1:
         raise ValidationError("block size must be positive")
     if m < 0:
         raise ValidationError("negative ground-set size")
     if m % b != 0:
-        return 0
-    factors = [math.comb(j * b - 1, b - 1) for j in range(1, m // b + 1)]
+        return iter((0,))
+    return (math.comb(j * b - 1, b - 1) for j in range(1, m // b + 1))
+
+
+def count_matchings_formula(m: int, b: int) -> int:
+    """Number of partitions of {1,..,m} into blocks of size b, the product of
+    ``_matching_factors``: zero when b does not divide m, one when m = 0 or b = 1."""
+    factors = list(_matching_factors(m, b))
     # multiply in pairwise rounds, so operands of equal size meet: one running
     # product would be quadratic in the digit count
     while len(factors) > 1:
@@ -311,15 +312,12 @@ def count_spanning_trees_formula(n: int, r: int) -> int:
 
 
 def enumerate_matchings(m: int, b: int) -> Iterator[Matching]:
-    """Yield all partitions of {1,..,m} into size-b blocks, canonical order.
-
-    Empty stream when b does not divide m; refuses more than ``DEFAULT_CAP``.
-    """
-    total = count_matchings_formula(m, b)
+    """Yield all partitions of {1,..,m} into size-b blocks, canonical order, none when b
+    does not divide m.  Arguments and cap (``DEFAULT_CAP``) are checked at the first ``next()``."""
+    rising = accumulate(_matching_factors(m, b), mul, initial=1)
     if m % b != 0:
         return
-    if total > DEFAULT_CAP:
-        raise ResourceCapError(f"{total} matchings exceed cap {DEFAULT_CAP}")
+    _check_cap(rising, DEFAULT_CAP, f"matching count of [{m}] in blocks of {b}")
 
     def rec(remaining: list[int], blocks: tuple) -> Iterator[Matching]:
         if not remaining:

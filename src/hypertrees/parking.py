@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator, Sequence
 
-from .core import DEFAULT_CAP, ValidationError, _check_labels, _check_power, _int_groups
+from .core import DEFAULT_CAP, ValidationError, _check_cap, _check_labels, _int_groups
 
 
 def _check_domain(k: int, r: int) -> None:
@@ -52,12 +52,13 @@ def enumerate_parking(k: int, r: int, cap: int = DEFAULT_CAP) -> Iterator[tuple[
 
     Entries above r*(k-1) can never satisfy the sorted bound, so scanning
     {0,..,r*(k-1)}^k is exhaustive; for k = 0 the empty sequence, the one
-    point of {0}^0, is the only one, as ``count_parking(0, r)`` says.
+    point of {0}^0, is the only one, as ``count_parking(0, r)`` says.  The
+    arguments and the cap are checked at the first ``next()``.
     """
     _check_domain(k, r)
     _check_labels((cap,), None, None, "cap")
     top = r * max(k - 1, 0)
-    _check_power(top + 1, k, cap, "search space")
+    _check_cap(((top + 1) ** e for e in range(k + 1)), cap, f"search space {top + 1}^{k}")
     for a in product(range(top + 1), repeat=k):
         if _fits(a, r):  # entries from ``range``: no check needed
             yield a

@@ -22,7 +22,7 @@ from math import inf, lcm
 from numbers import Rational
 from typing import Iterator
 
-from .core import ValidationError, _check_labels, _check_power
+from .core import ValidationError, _check_cap, _check_labels
 from .parking import _check_domain
 
 DEFAULT_REGION_CAP = 50_000
@@ -136,7 +136,8 @@ def iter_regions(m: int, r: int, cap: int = DEFAULT_REGION_CAP) -> Iterator[Regi
     checked at the call, so a stream yields every region or none."""
     _check_domain(m, r)
     _check_labels((cap,), None, None, "cap")
-    _check_power(r * m + 1, max(m - 1, 0), cap, "region count")
+    base, exp = r * m + 1, max(m - 1, 0)
+    _check_cap((base**e for e in range(exp + 1)), cap, f"region count {base}^{exp}")
     return _search(m, r)
 
 

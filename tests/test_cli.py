@@ -279,6 +279,8 @@ class TestErrorsAndDeterminism:
         [
             ("shi regions --k 46 --r 1", "region count 47^45 exceeds cap 50000"),
             ("park enumerate --k 300000 --r 1", "search space 300000^300000 exceeds cap 100000000"),
+            ("enumerate --n 200001 --r 3",
+             "search space C(1333333333300000,100000) exceeds cap 100000000"),
         ],
     )
     def test_huge_search_refuses_before_it_starts(self, capsys, command, message):

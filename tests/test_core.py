@@ -139,6 +139,15 @@ class TestEnumerateSpanningTrees:
     def test_cap_refusal(self):
         with pytest.raises(ResourceCapError):
             list(enumerate_spanning_trees(13, 3, cap=1000))
+        # the search space N = C(C(n,r), k) is refused at cap N-1 and searched at cap N
+        for n, r in ((5, 3), (7, 3), (7, 4), (6, 2)):
+            n_edges, k = math.comb(n, r), tree_size(n, r)
+            space = math.comb(n_edges, k)
+            with pytest.raises(ResourceCapError) as exc:
+                next(enumerate_spanning_trees(n, r, cap=space - 1))
+            assert str(exc.value) == f"search space C({n_edges},{k}) exceeds cap {space - 1}"
+            trees = list(enumerate_spanning_trees(n, r, cap=space))
+            assert len(trees) == count_spanning_trees_formula(n, r), (n, r)
 
 
 class TestCountFormulas:
@@ -222,8 +231,12 @@ class TestEnumerateMatchings:
         )
 
     def test_cap_refusal(self):
-        with pytest.raises(ResourceCapError):
-            list(enumerate_matchings(20, 2))  # 654,729,075 > DEFAULT_CAP
+        # 654,729,075 > DEFAULT_CAP at m = 20; from m = 3000 on the count has
+        # more digits than an int may format, so the message names its form
+        for m in (20, 3000, 4000):
+            with pytest.raises(ResourceCapError) as exc:
+                next(enumerate_matchings(m, 2))
+            assert str(exc.value) == f"matching count of [{m}] in blocks of 2 exceeds cap 100000000"
 
 
 class TestExtractMatching:
