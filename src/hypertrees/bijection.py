@@ -22,7 +22,7 @@ from .core import (
     Matching,
     MatchingMismatchError,
     ValidationError,
-    _check_labels,
+    _check_sizes,
     _walk,
 )
 from .parking import is_r_parking
@@ -30,8 +30,7 @@ from .parking import is_r_parking
 
 def consecutive_matching(k: int, block_size: int) -> Matching:
     """The matching {1..b | b+1..2b | ...} with k blocks of size b."""
-    _check_labels((k,), 0, None, "size")
-    _check_labels((block_size,), None, None, "size")
+    _check_sizes(k=(k, 0), block_size=(block_size, 1))
     blocks = tuple(
         tuple(range(i * block_size + 1, (i + 1) * block_size + 1)) for i in range(k)
     )

@@ -41,9 +41,9 @@ class InternalError(RuntimeError):
 
 def _check_labels(values: Iterable, lo: int | None, hi: int | None, what: str) -> None:
     """Refuse a value whose type is not exactly int (bool, float, Fraction, str
-    and None are refused) or that lies outside [lo, hi].  ``lo`` None checks
-    the type only; ``hi`` None means no upper bound, and ``lo`` is then 0, so
-    a value below it is negative."""
+    and None are refused) or that lies outside [lo, hi]: ``lo`` None checks the
+    type only, and ``hi`` None takes lo = 0 ("negative entry -1").  Sizes with a
+    lower bound go through ``_check_sizes``."""
     for v in values:
         if type(v) is not int:
             raise ValidationError(f"{what} {v!r} is not an integer")
@@ -53,12 +53,27 @@ def _check_labels(values: Iterable, lo: int | None, hi: int | None, what: str) -
             raise ValidationError(f"{what} {v} outside [{lo}, {hi}]")
 
 
+def _check_sizes(**bounds: tuple[int, int]) -> None:
+    """Refuse sizes ``name=(value, lo)``: a non-int first, as ``_check_labels`` does, then,
+    all types checked, a value below its lo, naming every bound ("need n >= 1 and r >= 2")."""
+    for v, lo in bounds.values():
+        if type(v) is not int or v < lo:
+            _check_labels([value for value, _ in bounds.values()], None, None, "size")
+            need = " and ".join(f"{name} >= {low}" for name, (_, low) in bounds.items())
+            raise ValidationError(f"need {need}")
+
+
 def _check_cap(rising: Iterable[int], cap: int, what: str) -> None:
     """Refuse a count above ``cap`` by its form ``what`` ("region count 47^45"),
     never by its digits.  ``rising`` holds the count's partial products, which
     never decrease and end at the count; none is read past the first above the cap."""
     if any(p > cap for p in rising):
         raise ResourceCapError(f"{what} exceeds cap {cap}")
+
+
+def _check_power(base: int, exp: int, cap: int, what: str) -> None:
+    """``_check_cap`` for the count base^exp, named "{what} {base}^{exp}"."""
+    _check_cap((base**e for e in range(exp + 1)), cap, f"{what} {base}^{exp}")
 
 
 def _canonical(groups: Iterable, what: str) -> tuple[tuple[int, ...], ...]:
@@ -114,9 +129,7 @@ class Matching:
     index: dict[int, int] = field(init=False, compare=False, repr=False)  # vertex -> block position
 
     def __post_init__(self) -> None:
-        _check_labels((self.block_size,), None, None, "size")
-        if self.block_size < 1:
-            raise ValidationError("block size must be positive")
+        _check_sizes(block_size=(self.block_size, 1))
         canon = _canonical(self.blocks, "block member")
         index: dict[int, int] = {}
         for i, b in enumerate(canon):
@@ -220,11 +233,7 @@ def is_spanning_tree(t: HyperTree) -> bool:
 
 def tree_size(n: int, r: int) -> int | None:
     """Number of hyperedges k of any spanning tree on n vertices, or None."""
-    _check_labels((n, r), None, None, "size")
-    if n < 1:
-        raise ValidationError("vertex count must be positive")
-    if r < 2:
-        raise ValidationError("uniformity must be at least 2")
+    _check_sizes(n=(n, 1), r=(r, 2))
     if (n - 1) % (r - 1) != 0:
         return None
     return (n - 1) // (r - 1)
@@ -248,7 +257,7 @@ def enumerate_spanning_trees(
     n_edges = math.comb(n, r)
     # C(N-k+j, j) for j = 0..k rise to C(N, k), as k <= N
     rising = (math.comb(n_edges - k + j, j) for j in range(k + 1))
-    _check_cap(rising, cap, f"search space C({n_edges},{k})")
+    _check_cap(rising, cap, f"search space C(C({n},{r}),{k})")
     all_edges = list(combinations(range(1, n + 1), r))
 
     def extend(start: int, comp: Sequence[int], chosen: tuple) -> Iterator[HyperTree]:
@@ -278,11 +287,7 @@ def _matching_factors(m: int, b: int) -> Iterator[int]:
     """The factors C(j*b - 1, b - 1), j = 1 .. m/b, of the count of partitions of
     {1,..,m} into size-b blocks (fix the smallest unplaced element, choose its b-1
     partners), or one factor 0 when b does not divide m; m and b are checked at the call."""
-    _check_labels((m, b), None, None, "size")
-    if b < 1:
-        raise ValidationError("block size must be positive")
-    if m < 0:
-        raise ValidationError("negative ground-set size")
+    _check_sizes(m=(m, 0), b=(b, 1))
     if m % b != 0:
         return iter((0,))
     return (math.comb(j * b - 1, b - 1) for j in range(1, m // b + 1))

@@ -18,7 +18,7 @@ from functools import reduce
 from math import comb, factorial
 from typing import Sequence
 
-from .core import ValidationError, _check_labels
+from .core import ValidationError, _check_labels, _check_sizes
 from .core import count_matchings_formula, count_spanning_trees_formula
 
 Series = tuple[int, ...]
@@ -56,9 +56,7 @@ def compose(f: Sequence[int], g: Sequence[int]) -> Series:
 
 def _exponents(order: int) -> range:
     """The exponents 0..order of a series truncated at ``order``."""
-    _check_labels((order,), None, None, "size")
-    if order < 0:
-        raise ValidationError(f"series order must be non-negative, got {order}")
+    _check_sizes(order=(order, 0))
     return range(order + 1)
 
 
@@ -95,9 +93,7 @@ def verify_functional_equation(
     of t_0..t_N (e.g. from brute-force enumeration); by default the closed
     form is used.
     """
-    _check_labels((r, order), None, None, "size")
-    if r < 2 or order < 1:
-        raise ValidationError("need r >= 2 and order >= 1")
+    _check_sizes(r=(r, 2), order=(order, 1))
     if tree_counts is None:
         trees = egf_rooted_trees(r, order)
     else:
@@ -121,9 +117,7 @@ def lagrange_coefficient(r: int, q: int) -> Fraction:
     series coefficient of x^n.  E(y) = exp(y^b / b!), so its closed form is
     n^q / (b!^q q!); the CLI's ``egf`` verify suite compares the two at r = 3.
     """
-    _check_labels((r, q), None, None, "size")
-    if r < 2 or q < 1:
-        raise ValidationError("need r >= 2 and q >= 1")
+    _check_sizes(r=(r, 2), q=(q, 1))
     n = (r - 1) * q + 1
     power = reduce(_product, [egf_matchings(r - 1, n - 1)] * n)
     return Fraction(power[n - 1], factorial(n - 1))
@@ -143,9 +137,7 @@ def count_rooted_trees_recursive(n: int, r: int) -> int:
     one root hyperedge (Moon, *Counting Labelled Trees*, 1970).  Binomials
     only: no closed form and no series arithmetic, so it is a second oracle.
     """
-    _check_labels((n, r), None, None, "size")
-    if n < 0 or r < 2:
-        raise ValidationError("need n >= 0 and r >= 2")
+    _check_sizes(n=(n, 0), r=(r, 2))
     trees = [0] * (n + 1)
     sets = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(r - 1)]
     forest = [1] + [0] * n

@@ -5,14 +5,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator, Sequence
 
-from .core import DEFAULT_CAP, ValidationError, _check_cap, _check_labels, _int_groups
-
-
-def _check_domain(k: int, r: int) -> None:
-    """Length k >= 0 and r >= 1: the domain of the parking side and the Shi side."""
-    _check_labels((k, r), None, None, "size")
-    if k < 0 or r < 1:
-        raise ValidationError("need k >= 0 and r >= 1")
+from .core import DEFAULT_CAP, _check_labels, _check_power, _check_sizes, _int_groups
 
 
 def _fits(a: Sequence[int], r: int) -> bool:
@@ -22,7 +15,7 @@ def _fits(a: Sequence[int], r: int) -> bool:
 
 def is_r_parking(a: Sequence[int], r: int) -> bool:
     """True iff the sorted rearrangement b satisfies b_i <= r*(i-1) for all i."""
-    _check_domain(len(a), r)
+    _check_sizes(k=(len(a), 0), r=(r, 1))
     _check_labels(a, 0, None, "entry")
     return _fits(a, r)
 
@@ -55,10 +48,10 @@ def enumerate_parking(k: int, r: int, cap: int = DEFAULT_CAP) -> Iterator[tuple[
     point of {0}^0, is the only one, as ``count_parking(0, r)`` says.  The
     arguments and the cap are checked at the first ``next()``.
     """
-    _check_domain(k, r)
+    _check_sizes(k=(k, 0), r=(r, 1))
     _check_labels((cap,), None, None, "cap")
     top = r * max(k - 1, 0)
-    _check_cap(((top + 1) ** e for e in range(k + 1)), cap, f"search space {top + 1}^{k}")
+    _check_power(top + 1, k, cap, "search space")
     for a in product(range(top + 1), repeat=k):
         if _fits(a, r):  # entries from ``range``: no check needed
             yield a
@@ -66,7 +59,7 @@ def enumerate_parking(k: int, r: int, cap: int = DEFAULT_CAP) -> Iterator[tuple[
 
 def count_parking(k: int, r: int) -> int:
     """Number of r-parking functions of length k: (r*k + 1)^(k-1)."""
-    _check_domain(k, r)
+    _check_sizes(k=(k, 0), r=(r, 1))
     if k == 0:
         return 1
     return (r * k + 1) ** (k - 1)

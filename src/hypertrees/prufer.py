@@ -24,6 +24,7 @@ from .core import (
     MatchingMismatchError,
     ValidationError,
     _check_labels,
+    _check_sizes,
     _edge_blocks,
     _int_groups,
     extract_matching,  # noqa: F401  (unused here, but importable from this module)
@@ -40,9 +41,7 @@ class PruferCode:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_labels((self.n,), None, None, "size")
-        if self.n < 1:
-            raise ValidationError("vertex count must be positive")
+        _check_sizes(n=(self.n, 1))
         object.__setattr__(self, "entries", tuple(self.entries))  # read a one-shot iterable once
         _check_labels(self.entries, 1, self.n, "code entry")
 

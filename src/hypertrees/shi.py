@@ -17,13 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import inf, lcm
 from numbers import Rational
 from typing import Iterator
 
-from .core import ValidationError, _check_cap, _check_labels
-from .parking import _check_domain
+from .core import ValidationError, _check_labels, _check_power, _check_sizes
 
 DEFAULT_REGION_CAP = 50_000
 
@@ -60,7 +59,7 @@ class Region:
 
 def build_arrangement(m: int, r: int) -> tuple[Hyperplane, ...]:
     """All C(m,2) * 2r hyperplanes, ordered by (i, j, c)."""
-    _check_domain(m, r)
+    _check_sizes(k=(m, 0), r=(r, 1))
     return tuple(
         Hyperplane(i, j, c)
         for i, j in combinations(range(1, m + 1), 2)
@@ -134,10 +133,9 @@ def iter_regions(m: int, r: int, cap: int = DEFAULT_REGION_CAP) -> Iterator[Regi
     """The regions of ``regions``, in its order, one at a time, holding only the
     DBMs on the search path and their siblings.  The arguments and the cap are
     checked at the call, so a stream yields every region or none."""
-    _check_domain(m, r)
+    _check_sizes(k=(m, 0), r=(r, 1))
     _check_labels((cap,), None, None, "cap")
-    base, exp = r * m + 1, max(m - 1, 0)
-    _check_cap((base**e for e in range(exp + 1)), cap, f"region count {base}^{exp}")
+    _check_power(r * m + 1, max(m - 1, 0), cap, "region count")
     return _search(m, r)
 
 
@@ -155,7 +153,7 @@ def _search(m: int, r: int) -> Iterator[Region]:
     while stack:
         signs, cs, d = stack.pop()
         if len(cs) == len(pairs):
-            yield Region(signs, _witness(d, coords), cs, all(inf not in row for row in d))
+            yield Region(signs, _witness(d, coords), cs, inf not in chain.from_iterable(d))
         else:  # popped last, the top interval is entered first
             i, j = pairs[len(cs)]
             stack += [(signs + blocks[c], cs + (c,), _tighten(d, i, j, *ends[c]))

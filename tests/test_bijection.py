@@ -59,9 +59,9 @@ class TestTreeToParking:
 @pytest.mark.parametrize(
     "k,block_size,expected",
     [
-        (-1, 2, (ValidationError, "negative size -1")),
-        (-3, 0, (ValidationError, "negative size -3")),
-        (2, 0, (ValidationError, "block size must be positive")),
+        (-1, 2, (ValidationError, "need k >= 0 and block_size >= 1")),
+        (-3, 0, (ValidationError, "need k >= 0 and block_size >= 1")),
+        (2, 0, (ValidationError, "need k >= 0 and block_size >= 1")),
         (0, 2, Matching(2, ())),
     ],
 )

@@ -101,12 +101,12 @@ class TestRootedTreeSeries:
     @pytest.mark.parametrize("order", [-1, -5])
     def test_negative_order_rejected(self, series, first, order):
         assert outcome(series, first, order) == (
-            ValidationError, f"series order must be non-negative, got {order}"
+            ValidationError, "need order >= 0"
         )
 
     @pytest.mark.parametrize("r", [1, 0, -3])
     def test_uniformity_checked_at_size_zero(self, r):
-        refusal = (ValidationError, "uniformity must be at least 2")
+        refusal = (ValidationError, "need n >= 1 and r >= 2")
         assert outcome(rooted_tree_count, 0, r) == outcome(egf_rooted_trees, r, 0) == refusal
 
     def test_rooted_equals_n_times_unrooted_brute_force(self):

@@ -134,6 +134,9 @@ def test_every_entry_point_refuses_a_non_integer(data):
         (lambda: Matching(2, ((1, "2"), (3, 4))), "block member '2' is not an integer"),
         (lambda: count_parking(2.0, 1), "size 2.0 is not an integer"),
         (lambda: tree_size(7.0, 3), "size 7.0 is not an integer"),
+        # every type is checked before any bound
+        (lambda: tree_size(0, 2.0), "size 2.0 is not an integer"),
+        (lambda: consecutive_matching(-1, 0.5), "size 0.5 is not an integer"),
         (lambda: count_spanning_trees_formula(True, 3), "size True is not an integer"),
         (lambda: PruferCode(5.0, ()), "size 5.0 is not an integer"),
         (lambda: list(enumerate_spanning_trees(5.0, 3)), "size 5.0 is not an integer"),
@@ -162,7 +165,8 @@ def test_every_entry_point_refuses_a_non_integer(data):
     ids=[
         "tree-float-vertex", "parking_to_tree-float", "decode-float-code", "simulate-float",
         "tree-bool-vertex", "matching-float-member", "tree-none-vertex", "matching-str-member",
-        "count_parking-float-k", "tree_size-float-n", "count-bool-n", "code-float-n",
+        "count_parking-float-k", "tree_size-float-n", "tree_size-n0-float-r",
+        "consecutive-k-1-float-b", "count-bool-n", "code-float-n",
         "enumerate-float-n", "egf-float-order", "recursive-float-n", "regions-float-m",
         "enumerate-none-cap", "enumerate-no-trees-float-cap", "parking-none-cap",
         "parking-float-cap", "regions-str-cap", "tree-int-edge", "tree-int-edges",

@@ -186,10 +186,10 @@ class TestCountTreesForMatching:
         "n,r,message",
         [
             pytest.param(9, 4, "no spanning trees on 9 vertices for r = 4", id="9-4"),
-            pytest.param(1, 0, "uniformity must be at least 2", id="1-0"),
-            pytest.param(1, 1, "uniformity must be at least 2", id="1-1"),
-            pytest.param(0, 3, "vertex count must be positive", id="0-3"),
-            pytest.param(5, 1, "uniformity must be at least 2", id="5-1"),
+            pytest.param(1, 0, "need n >= 1 and r >= 2", id="1-0"),
+            pytest.param(1, 1, "need n >= 1 and r >= 2", id="1-1"),
+            pytest.param(0, 3, "need n >= 1 and r >= 2", id="0-3"),
+            pytest.param(5, 1, "need n >= 1 and r >= 2", id="5-1"),
         ],
     )
     def test_infeasible_rejected(self, n, r, message):
@@ -210,7 +210,7 @@ class TestCodeText:
             parse_code("10", 9)
 
     def test_empty_vertex_set_rejected(self):
-        assert outcome(PruferCode, 0, ()) == (ValidationError, "vertex count must be positive")
+        assert outcome(PruferCode, 0, ()) == (ValidationError, "need n >= 1")
 
 
 def _matching(perm, block_size):
