@@ -70,12 +70,12 @@ def parking_to_tree(a: Sequence[int], r: int) -> HyperTree:
     if not is_r_parking(a, r):
         raise ValidationError(f"{tuple(a)} is not an r-parking function for r = {r}")
     n = r * len(a) + 1
-    ranked = [(0, n)]  # placed vertices as (distance from n, label), sorted
+    ranked = [n]  # placed vertices v at distance d from n as d * (n + 1) + v, sorted
     edges: list[tuple[int, ...]] = []
     for i in sorted(range(len(a)), key=a.__getitem__):
-        d, x = ranked[a[i]]
+        d, x = divmod(ranked[a[i]], n + 1)
         block = tuple(range(r * i + 1, r * (i + 1) + 1))
         edges.append(block + (x,))
         for v in block:
-            insort(ranked, (d + 1, v))
+            insort(ranked, (d + 1) * (n + 1) + v)
     return HyperTree(n, r + 1, tuple(edges))

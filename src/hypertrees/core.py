@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -63,11 +63,11 @@ def _check_sizes(**bounds: tuple[int, int]) -> None:
             raise ValidationError(f"need {need}")
 
 
-def _check_cap(rising: Iterable[int], cap: int, what: str) -> None:
+def _check_cap(bounds: Iterable[int], cap: int, what: str) -> None:
     """Refuse a count above ``cap`` by its form ``what`` ("region count 47^45"),
-    never by its digits.  ``rising`` holds the count's partial products, which
-    never decrease and end at the count; none is read past the first above the cap."""
-    if any(p > cap for p in rising):
+    never by its digits.  ``bounds`` holds lower bounds of the count, such as its
+    partial products, and ends at the count; none is read past the first above the cap."""
+    if any(p > cap for p in bounds):
         raise ResourceCapError(f"{what} exceeds cap {cap}")
 
 
@@ -80,7 +80,7 @@ def _canonical(groups: Iterable, what: str) -> tuple[tuple[int, ...], ...]:
     """Each group sorted, then the groups sorted; refuses groups and labels that do not sort."""
     try:
         groups = tuple(groups)  # a tuple comes back as itself; a generator is read once
-        return tuple(sorted(tuple(sorted(g)) for g in groups))
+        return tuple(sorted(map(tuple, map(sorted, groups))))
     except TypeError:  # a group (or ``groups``) that is not iterable, or a str or None among ints
         for g in groups if isinstance(groups, tuple) else (groups,):
             if not isinstance(g, Iterable):
@@ -95,22 +95,29 @@ class HyperTree:
 
     Stored canonically: each hyperedge sorted ascending, hyperedges sorted
     lexicographically.  Construction validates well-formedness only; the
-    tree property itself is checked by :func:`is_spanning_tree`.
+    tree property itself is checked by :func:`is_spanning_tree`.  The tree is
+    immutable, so the first call that needs its walk from n stores it.
     """
 
     n: int
     r: int
     edges: tuple[tuple[int, ...], ...]
+    _walked: tuple[tuple[int, ...], tuple[int, ...]] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )  # ``_walk``'s (parent, dist), once a walk has succeeded
 
     def __post_init__(self) -> None:
-        tree_size(self.n, self.r)  # refuses n < 1 and r < 2
+        n, r = self.n, self.r
+        tree_size(n, r)  # refuses n < 1 and r < 2
         canon = _canonical(self.edges, "vertex")
-        for e in canon:
-            if len(e) != self.r:
-                raise ValidationError(f"hyperedge {e} has size {len(e)}, expected {self.r}")
-            if len(set(e)) != len(e):
-                raise ValidationError(f"hyperedge {e} repeats a vertex")
-            _check_labels(e, 1, self.n, "vertex")
+        ints = set(map(type, chain.from_iterable(canon))) <= {int}  # one type test for all
+        for e in canon:  # an edge is checked label by label only when a quick test fails
+            if not (ints and len(e) == len(set(e)) == r and e[0] >= 1 and e[-1] <= n):
+                if len(e) != r:
+                    raise ValidationError(f"hyperedge {e} has size {len(e)}, expected {r}")
+                if len(set(e)) != len(e):
+                    raise ValidationError(f"hyperedge {e} repeats a vertex")
+                _check_labels(e, 1, n, "vertex")
         if len(set(canon)) != len(canon):
             raise ValidationError("duplicate hyperedge")
         object.__setattr__(self, "edges", canon)
@@ -158,7 +165,7 @@ class Matching:
 def _int_groups(text: str, sep: str, what: str) -> tuple[tuple[int, ...], ...]:
     """Split ``text`` on ``sep`` into comma-separated integer groups, skipping empty parts."""
     try:
-        return tuple(tuple(int(x) for x in part.split(",")) for part in text.split(sep) if part)
+        return tuple(tuple(map(int, part.split(","))) for part in text.split(sep) if part)
     except ValueError as exc:
         raise ValidationError(f"cannot parse {what} {text!r}: {exc}") from None
 
@@ -168,7 +175,7 @@ def parse_tree(text: str, n: int, r: int) -> HyperTree:
 
 
 def format_tree(t: HyperTree) -> str:
-    return ";".join(",".join(map(str, e)) for e in t.edges)
+    return ";".join([",".join(map(str, e)) for e in t.edges])
 
 
 def parse_matching(text: str, b: int) -> Matching:
@@ -183,13 +190,15 @@ def format_matching(m: Matching) -> str:
 # the spanning-tree predicate and brute-force enumeration
 
 
-def _walk(t: HyperTree) -> tuple[list[int], list[int]]:
+def _walk(t: HyperTree) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """``(parent, dist)`` of a breadth-first search from the top vertex n;
-    refuses anything but a spanning tree.
+    refuses anything but a spanning tree.  Made once per tree, stored on it.
 
     ``parent[j]`` is the vertex of ``t.edges[j]`` nearest n and ``dist[v]``
     the hyperedge distance of v from n.
     """
+    if t._walked is not None:
+        return t._walked
     n, edges = t.n, t.edges
     incident: list[list[int]] = [[] for _ in range(n + 1)]
     for j, e in enumerate(edges):
@@ -211,7 +220,8 @@ def _walk(t: HyperTree) -> tuple[list[int], list[int]]:
                         queue.append(v)
     if len(queue) < n:  # some vertex unreached: disconnected
         raise ValidationError("input is not a spanning tree")
-    return parent, dist
+    object.__setattr__(t, "_walked", (tuple(parent), tuple(dist)))
+    return t._walked
 
 
 def is_spanning_tree(t: HyperTree) -> bool:
@@ -254,10 +264,16 @@ def enumerate_spanning_trees(
     _check_labels((cap,), None, None, "cap")
     if k is None:
         return
-    n_edges = math.comb(n, r)
-    # C(N-k+j, j) for j = 0..k rise to C(N, k), as k <= N
-    rising = (math.comb(n_edges - k + j, j) for j in range(k + 1))
-    _check_cap(rising, cap, f"search space C(C({n},{r}),{k})")
+
+    def bounds() -> Iterator[int]:
+        # C(N, k) >= N = C(n, r) once k >= 1 (then n >= r): N's partial products come first,
+        # so N is built only when none is above the cap; C(N-k+j, j), j = 0..k, rise to C(N, k)
+        if k:
+            yield from (math.comb(n - r + j, j) for j in range(r + 1))
+        n_edges = math.comb(n, r)
+        yield from (math.comb(n_edges - k + j, j) for j in range(k + 1))
+
+    _check_cap(bounds(), cap, f"search space C(C({n},{r}),{k})")
     all_edges = list(combinations(range(1, n + 1), r))
 
     def extend(start: int, comp: Sequence[int], chosen: tuple) -> Iterator[HyperTree]:
@@ -339,7 +355,7 @@ def enumerate_matchings(m: int, b: int) -> Iterator[Matching]:
 # matching extraction
 
 
-def _edge_blocks(t: HyperTree) -> tuple[list[tuple[int, ...]], list[int]]:
+def _edge_blocks(t: HyperTree) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
     """Each hyperedge's block (itself minus its parent vertex) and parent vertex."""
     parent = _walk(t)[0]
     return [tuple([v for v in e if v != p]) for e, p in zip(t.edges, parent)], parent

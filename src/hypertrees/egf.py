@@ -18,7 +18,7 @@ from functools import reduce
 from math import comb, factorial
 from typing import Sequence
 
-from .core import ValidationError, _check_labels, _check_sizes
+from .core import ValidationError, _check_sizes
 from .core import count_matchings_formula, count_spanning_trees_formula
 
 Series = tuple[int, ...]
@@ -33,18 +33,24 @@ def _product(a: Sequence[int], b: Sequence[int]) -> Series:
     )
 
 
+def _check_series(*series: Sequence[int]) -> None:
+    """Refuse an empty series or a coefficient that is not an int count; the
+    last series, the inner one of a composition, needs a zero constant term."""
+    for s in series:
+        if not s:
+            raise ValidationError("series needs at least the constant term")
+        if not all(type(c) is int for c in s):  # bool is refused
+            raise ValidationError("series coefficients must be integer counts")
+    if series[-1][0] != 0:
+        raise ValidationError("composition needs a zero constant term")
+
+
 def compose(f: Sequence[int], g: Sequence[int]) -> Series:
     """f(g(x)) to the shorter order, as sum_j f_j g^j / j!; g(0) must be 0.
 
     g^j / j! counts sets of j g-structures, and a set of j-1 and one more is
     j times such a set, so each division is exact."""
-    for series in (f, g):
-        if not series:
-            raise ValidationError("series needs at least the constant term")
-        if not all(type(c) is int for c in series):  # bool is refused
-            raise ValidationError("series coefficients must be integer counts")
-    if g[0] != 0:
-        raise ValidationError("composition needs a zero constant term")
+    _check_series(f, g)
     n = min(len(f), len(g))
     power = (1,) + (0,) * (n - 1)  # g^0 / 0!
     total = [f[0]] + [0] * (n - 1)
@@ -54,25 +60,37 @@ def compose(f: Sequence[int], g: Sequence[int]) -> Series:
     return tuple(total)
 
 
-def _exponents(order: int) -> range:
-    """The exponents 0..order of a series truncated at ``order``."""
-    _check_sizes(order=(order, 0))
-    return range(order + 1)
+def _compose_matchings(g: Sequence[int], b: int) -> Series:
+    """``compose(egf_matchings(b, N), g)`` to g's order N, without the powers of g.
+
+    The matching series is exp(y^b / b!), so E(g) = exp(a) with a = g^b / b!, and
+    c = exp(a) has c' = a'c: c_n = sum_k C(n-1, k-1) a_k c_(n-k), c_0 = 1."""
+    _check_series(g)
+    a = (1,) + (0,) * (len(g) - 1)
+    for j in range(1, b + 1):  # g^j / j!, exact as in ``compose``
+        a = tuple(c // j for c in _product(a, g))
+    terms = [(k, x) for k, x in enumerate(a) if x]  # a_0 = 0
+    c = [1]
+    for n in range(1, len(g)):
+        c.append(sum(comb(n - 1, k - 1) * x * c[n - k] for k, x in terms if k <= n))
+    return tuple(c)
 
 
 def egf_matchings(b: int, order: int) -> Series:
     """Counts of partitions of 0..order points into size-b blocks."""
-    return tuple(count_matchings_formula(i, b) for i in _exponents(order))
+    _check_sizes(b=(b, 1), order=(order, 0))
+    return tuple(count_matchings_formula(i, b) for i in range(order + 1))
 
 
 def rooted_tree_count(n: int, r: int) -> int:
     """Number of rooted spanning trees on n labeled vertices."""
-    _check_labels((n,), None, None, "size")
-    return n * count_spanning_trees_formula(n or 1, r)  # n = 0 still checks r
+    _check_sizes(n=(n, 0), r=(r, 2))
+    return n and n * count_spanning_trees_formula(n, r)
 
 
 def egf_rooted_trees(r: int, order: int) -> Series:
-    return tuple(rooted_tree_count(i, r) for i in _exponents(order))
+    _check_sizes(r=(r, 2), order=(order, 0))
+    return tuple(rooted_tree_count(i, r) for i in range(order + 1))
 
 
 @dataclass(frozen=True)
@@ -100,7 +118,7 @@ def verify_functional_equation(
         if len(tree_counts) < order + 1:
             raise ValidationError("not enough tree counts for the requested order")
         trees = tuple(tree_counts[: order + 1])
-    blocks = compose(egf_matchings(r - 1, order), trees)
+    blocks = _compose_matchings(trees, r - 1)
     for n, t in enumerate(trees):
         rooted = n * blocks[n - 1] if n else 0
         if t != rooted:

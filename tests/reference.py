@@ -1,7 +1,8 @@
-"""Test-only reference: the union-find spanning-tree predicate, the
-quadratic-and-worse Prufer codes and tree/parking bijection, and series
-composition over rational coefficients, kept as first written so the library
-versions can be compared with them output for output.
+"""Test-only reference: the per-edge hyperedge checks, the union-find
+spanning-tree predicate, the quadratic-and-worse Prufer codes and
+tree/parking bijection, and series composition over rational coefficients,
+kept as first written so the library versions can be compared with them
+output for output.
 
 Each function follows the paper's description step by step: matching
 extraction by iterative deletion, a fresh leaf scan per encoding step, the
@@ -26,6 +27,27 @@ from hypertrees.core import (
 )
 from hypertrees.parking import is_r_parking
 from hypertrees.prufer import PruferCode
+
+
+def hypertree_refusal(n: int, r: int, edges: Iterable[Iterable]) -> str | None:
+    """The message with which ``HyperTree(n, r, edges)`` refuses, or None, for
+    valid sizes n >= 1, r >= 2 and groups of labels that sort: each hyperedge
+    in canonical order checked in turn for its size, a repeated vertex and
+    each vertex's type and range, then the edge set for a repeated hyperedge."""
+    canon = tuple(sorted(tuple(sorted(e)) for e in edges))
+    for e in canon:
+        if len(e) != r:
+            return f"hyperedge {e} has size {len(e)}, expected {r}"
+        if len(set(e)) != len(e):
+            return f"hyperedge {e} repeats a vertex"
+        for v in e:
+            if type(v) is not int:
+                return f"vertex {v!r} is not an integer"
+            if not 1 <= v <= n:
+                return f"vertex {v} outside [1, {n}]"
+    if len(set(canon)) != len(canon):
+        return "duplicate hyperedge"
+    return None
 
 
 def is_spanning_tree(t: HyperTree) -> bool:

@@ -204,6 +204,7 @@ class TestAgainstReference:
     def test_large_k_round_trip(self, case):
         a, r = case
         t = parking_to_tree(a, r)
+        assert t == reference.parking_to_tree(a, r)
         assert extract_matching(t) == consecutive_matching(len(a), r)
         assert tree_to_parking(t) == a
 

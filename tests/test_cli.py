@@ -186,7 +186,7 @@ class TestEgf:
     def test_negative_order_is_named(self, capsys, order):
         code, out, err = run(capsys, "egf", "--r", "3", "--order", order)
         assert (code, out) == (3, "")
-        assert err == "error: invalid-input: need order >= 0\n"
+        assert err == "error: invalid-input: need r >= 2 and order >= 0\n"
 
     def test_verify_mismatch_exits_5(self, capsys, monkeypatch):
         report = egf.FunctionalEquationReport(False, 5, Fraction(19, 30), Fraction(5, 8))

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import combinations, islice, permutations
 
 import pytest
@@ -23,7 +24,7 @@ from hypertrees.core import (
     tree_size,
 )
 from hypertrees.parking import parse_sequence
-from hypertrees.prufer import parse_code
+from hypertrees.prufer import decode, encode, parse_code
 
 import reference
 from conftest import naive_spanning_trees, outcome
@@ -67,8 +68,77 @@ class TestIsSpanningTree:
         assert is_spanning_tree(mapped)
 
 
+@st.composite
+def edge_lists(draw):
+    """(n, r, edges): a random tree on n = (r-1)k + 1 vertices, then spoiled a few times
+    over: a hyperedge dropped, repeated or added at random (a cycle, a disconnected graph,
+    a wrong edge count), or one vertex moved, grown, cut or set to a label out of range
+    or of another type that compares with ints."""
+    r = draw(st.integers(2, 4))
+    k = draw(st.integers(0, 5))
+    n = (r - 1) * k + 1
+    order = draw(st.permutations(range(1, n)))
+    placed, edges = [n], []
+    for i in range(k):
+        block = order[i * (r - 1):(i + 1) * (r - 1)]
+        edges.append([draw(st.sampled_from(placed)), *block])
+        placed += block
+    label = st.one_of(
+        st.integers(1, n),
+        st.sampled_from([-1, 0, n + 1, True, False, 2.0, 1.5, Fraction(2), Fraction(1, 2)]),
+    )
+    spoils = st.sampled_from(["drop", "repeat", "add", "set", "grow", "cut"])
+    for spoil in draw(st.lists(spoils, max_size=3)):
+        if spoil == "add" or not edges:
+            vertices = st.integers(1, max(n, r))  # n + 1 .. r out of range when n < r
+            edges.append(draw(st.lists(vertices, min_size=r, max_size=r, unique=True)))
+            continue
+        j = draw(st.integers(0, len(edges) - 1))
+        if spoil == "drop":
+            del edges[j]
+        elif spoil == "repeat":
+            edges.append(list(edges[j]))
+        elif spoil == "set":
+            edges[j][draw(st.integers(0, len(edges[j]) - 1))] = draw(label)
+        elif spoil == "grow":
+            edges[j].append(draw(label))
+        elif edges[j]:
+            edges[j].pop()
+    return n, r, edges
+
+
 class TestAgainstReference:
     """The breadth-first walk from n decides exactly what the union-find decides."""
+
+    @given(edge_lists())
+    @settings(max_examples=400, deadline=None)
+    def test_random_edge_lists(self, case):
+        # refused with the message of the per-edge checks; accepted, walked twice and after
+        # extract_matching, the walk decides as the union-find does and changes no identity
+        n, r, edges = case
+        message = reference.hypertree_refusal(n, r, edges)
+        if message is not None:
+            assert outcome(HyperTree, n, r, edges) == (ValidationError, message)
+            return
+        t, unwalked = HyperTree(n, r, edges), HyperTree(n, r, edges)
+        tree = reference.is_spanning_tree(t)
+        assert is_spanning_tree(t) == is_spanning_tree(t) == tree
+        if tree:
+            extract_matching(t)
+            assert is_spanning_tree(t)
+        assert (t == unwalked, hash(t), repr(t)) == (True, hash(unwalked), repr(unwalked))
+
+    def test_walk_is_made_once_and_kept(self):
+        t = parse_tree(FIG1, 7, 3)
+        assert t._walked is None
+        assert is_spanning_tree(t)
+        walked = t._walked
+        m = extract_matching(t)
+        assert decode(encode(t, m), m, 3)._walked is not None  # by decode's postcondition
+        assert t._walked is walked
+        cycle = parse_tree("1,2,3;1,2,4", 5, 3)
+        assert not is_spanning_tree(cycle) and not is_spanning_tree(cycle)
+        assert cycle._walked is None
 
     @pytest.mark.parametrize("n,r", [(5, 3), (6, 3), (7, 3), (7, 4)])
     def test_every_edge_set_near_tree_size(self, n, r):
@@ -139,19 +209,25 @@ class TestEnumerateSpanningTrees:
     def test_cap_refusal(self):
         with pytest.raises(ResourceCapError):
             list(enumerate_spanning_trees(13, 3, cap=1000))
-        # the search space N = C(C(n,r), k) is refused at cap N-1 and searched at cap N
-        for n, r in ((5, 3), (7, 3), (7, 4), (6, 2)):
+        # the search space S = C(N, k), N = C(n, r), is refused at every cap below S and
+        # searched at cap S, also at caps N - 1 and N, where the partial products of N end
+        for n, r in ((5, 3), (7, 3), (7, 4), (6, 2), (3, 3), (1, 3)):
             n_edges, k = math.comb(n, r), tree_size(n, r)
             space = math.comb(n_edges, k)
+            for cap in sorted({n_edges - 1, n_edges, space - 1, space}):
+                if cap < space:
+                    with pytest.raises(ResourceCapError) as exc:
+                        next(enumerate_spanning_trees(n, r, cap=cap))
+                    assert str(exc.value) == f"search space C(C({n},{r}),{k}) exceeds cap {cap}"
+                else:
+                    trees = list(enumerate_spanning_trees(n, r, cap=cap))
+                    assert len(trees) == count_spanning_trees_formula(n, r), (n, r)
+        # C(20001, 10001) has more digits than an int may format, and C(200001, 100001)
+        # takes most of a second to build: both are refused by their form, before N is built
+        for n in (20001, 200001):
             with pytest.raises(ResourceCapError) as exc:
-                next(enumerate_spanning_trees(n, r, cap=space - 1))
-            assert str(exc.value) == f"search space C(C({n},{r}),{k}) exceeds cap {space - 1}"
-            trees = list(enumerate_spanning_trees(n, r, cap=space))
-            assert len(trees) == count_spanning_trees_formula(n, r), (n, r)
-        # C(20001, 10001) has more digits than an int may format: named by its form
-        with pytest.raises(ResourceCapError) as exc:
-            next(enumerate_spanning_trees(20001, 10001))
-        assert str(exc.value) == "search space C(C(20001,10001),2) exceeds cap 100000000"
+                next(enumerate_spanning_trees(n, n // 2 + 1))
+            assert str(exc.value) == f"search space C(C({n},{n // 2 + 1}),2) exceeds cap 100000000"
 
 
 class TestCountFormulas:

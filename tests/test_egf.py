@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hypertrees.core import ValidationError, enumerate_spanning_trees
 from hypertrees.egf import (
+    _compose_matchings,
     compose,
     count_rooted_trees_recursive,
     egf_matchings,
@@ -100,14 +101,17 @@ class TestRootedTreeSeries:
     @pytest.mark.parametrize("series,first", [(egf_rooted_trees, 3), (egf_matchings, 2)])
     @pytest.mark.parametrize("order", [-1, -5])
     def test_negative_order_rejected(self, series, first, order):
-        assert outcome(series, first, order) == (
-            ValidationError, "need order >= 0"
-        )
+        need = {egf_rooted_trees: "r >= 2", egf_matchings: "b >= 1"}[series]
+        assert outcome(series, first, order) == (ValidationError, f"need {need} and order >= 0")
 
     @pytest.mark.parametrize("r", [1, 0, -3])
     def test_uniformity_checked_at_size_zero(self, r):
-        refusal = (ValidationError, "need n >= 1 and r >= 2")
-        assert outcome(rooted_tree_count, 0, r) == outcome(egf_rooted_trees, r, 0) == refusal
+        assert outcome(rooted_tree_count, 0, r) == (ValidationError, "need n >= 0 and r >= 2")
+        assert outcome(egf_rooted_trees, r, 0) == (ValidationError, "need r >= 2 and order >= 0")
+
+    def test_rooted_tree_count_takes_n_from_zero(self):
+        assert rooted_tree_count(0, 3) == rooted_tree_count(0, 2) == 0
+        assert outcome(rooted_tree_count, -1, 3) == (ValidationError, "need n >= 0 and r >= 2")
 
     def test_rooted_equals_n_times_unrooted_brute_force(self):
         for r in (3, 4):
@@ -147,6 +151,17 @@ class TestFunctionalEquation:
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_order_100(self, r):
         assert verify_functional_equation(r, 100).ok
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_recurrence_equals_composition(self, r):
+        # E(T) by the exponential recurrence, as the check builds it, and by composition
+        trees = egf_rooted_trees(r, 100)
+        assert _compose_matchings(trees, r - 1) == compose(egf_matchings(r - 1, 100), trees)
+
+    def test_nonzero_constant_tree_count_rejected(self):
+        assert outcome(verify_functional_equation, 3, 2, [1, 1, 0]) == (
+            ValidationError, "composition needs a zero constant term"
+        )
 
     def test_non_integer_tree_count_rejected(self):
         assert outcome(verify_functional_equation, 3, 2, [0, 1, Fraction(1, 2)]) == (

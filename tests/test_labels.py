@@ -137,6 +137,9 @@ def test_every_entry_point_refuses_a_non_integer(data):
         # every type is checked before any bound
         (lambda: tree_size(0, 2.0), "size 2.0 is not an integer"),
         (lambda: consecutive_matching(-1, 0.5), "size 0.5 is not an integer"),
+        (lambda: egf_matchings(0.5, -1), "size 0.5 is not an integer"),
+        (lambda: egf_rooted_trees(2.0, -1), "size 2.0 is not an integer"),
+        (lambda: rooted_tree_count(-1, 1.5), "size 1.5 is not an integer"),
         (lambda: count_spanning_trees_formula(True, 3), "size True is not an integer"),
         (lambda: PruferCode(5.0, ()), "size 5.0 is not an integer"),
         (lambda: list(enumerate_spanning_trees(5.0, 3)), "size 5.0 is not an integer"),
@@ -166,7 +169,8 @@ def test_every_entry_point_refuses_a_non_integer(data):
         "tree-float-vertex", "parking_to_tree-float", "decode-float-code", "simulate-float",
         "tree-bool-vertex", "matching-float-member", "tree-none-vertex", "matching-str-member",
         "count_parking-float-k", "tree_size-float-n", "tree_size-n0-float-r",
-        "consecutive-k-1-float-b", "count-bool-n", "code-float-n",
+        "consecutive-k-1-float-b", "egf_matchings-float-b-order-1",
+        "egf_rooted_trees-float-r-order-1", "rooted-n-1-float-r", "count-bool-n", "code-float-n",
         "enumerate-float-n", "egf-float-order", "recursive-float-n", "regions-float-m",
         "enumerate-none-cap", "enumerate-no-trees-float-cap", "parking-none-cap",
         "parking-float-cap", "regions-str-cap", "tree-int-edge", "tree-int-edges",
