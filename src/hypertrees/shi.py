@@ -2,8 +2,7 @@
 
 The arrangement in m coordinates consists of the hyperplanes
 x_i - x_j = c for 1 <= i < j <= m and c in {-r+1,..,r}.  Regions are the
-connected components of the complement; each is identified by a strict
-sign vector over the hyperplane list.
+connected components of the complement.
 
 Every hyperplane bounds a coordinate difference, so a region is one open
 interval of x_i - x_j per pair: (r, oo), (r-1, r), .., (-oo, -r+1).  The
@@ -15,7 +14,7 @@ kept branch is a region, and a rational witness is read off its closed bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
 from math import inf, lcm
@@ -32,29 +31,37 @@ Bounds = list[list[float]]
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """The hyperplane x_i - x_j = c with i < j."""
+    """The hyperplane x_i - x_j = c with 1 <= i < j."""
 
     i: int
     j: int
     c: int
 
+    def __post_init__(self) -> None:
+        _check_labels((self.i, self.j, self.c), None, None, "hyperplane field")
+        if not 1 <= self.i < self.j:
+            raise ValidationError(f"need 1 <= i < j, got i = {self.i}, j = {self.j}")
+
 
 @dataclass(frozen=True)
 class Region:
-    """An open region: one sign per hyperplane (+1 above, -1 below) plus a
-    rational interior point witnessing strict feasibility.
+    """An open region: the index c of the interval (c, c+1) holding x_i - x_j for each
+    pair i < j in order (-r <= c <= r), a rational point strictly inside, and ``bounded``,
+    True when every entry of the closed DBM is finite.  ``signs`` (+1 above, -1 below each
+    hyperplane) is derived once: interval c lies above constant h exactly when h <= c."""
 
-    ``regions`` also fills ``intervals``, the index c of the interval
-    (c, c+1) holding x_i - x_j for each pair i < j in order (-r <= c <= r),
-    and ``bounded``, True when every entry of the closed DBM is finite.  A
-    Region built by hand carries the defaults; ``witness_satisfies`` reads
-    neither field.
-    """
-
-    signs: tuple[int, ...]
+    r: int
+    intervals: tuple[int, ...]
     witness: tuple[Fraction, ...]
-    intervals: tuple[int, ...] = ()
-    bounded: bool = False
+    bounded: bool
+    signs: tuple[int, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        r = self.r
+        _check_sizes(r=(r, 1))
+        _check_labels(self.intervals, -r, r, "interval")
+        signs = tuple([1 if h <= c else -1 for c in self.intervals for h in range(-r + 1, r + 1)])
+        object.__setattr__(self, "signs", signs)
 
 
 def build_arrangement(m: int, r: int) -> tuple[Hyperplane, ...]:
@@ -140,23 +147,21 @@ def iter_regions(m: int, r: int, cap: int = DEFAULT_REGION_CAP) -> Iterator[Regi
 
 
 def _search(m: int, r: int) -> Iterator[Region]:
-    """``iter_regions`` after its checks.  A branch (signs, cs, d), its sign prefix,
-    intervals so far and closed DBM, is a region once every pair has one; a stack
-    holds them, as C(m,2) nested generators pass the recursion limit at m = 46."""
-    # interval c of a pair: its signs, and its bounds on x_i - x_j and x_j - x_i
-    blocks = {c: tuple(1 if h <= c else -1 for h in range(-r + 1, r + 1))
-              for c in range(-r, r + 1)}
+    """``iter_regions`` after its checks.  A branch (cs, d), its intervals so far
+    and closed DBM, is a region once every pair has one; a stack holds them, as
+    C(m,2) nested generators pass the recursion limit at m = 46."""
+    # interval c of a pair: its bounds on x_i - x_j and x_j - x_i
     ends = {c: (c + 1 if c < r else inf, -c if c > -r else inf) for c in range(-r, r + 1)}
     pairs = tuple(combinations(range(m), 2))
     coords: dict[int, Fraction] = {}
-    stack = [((), (), [[0 if a == b else inf for b in range(m)] for a in range(m)])]
+    stack = [((), [[0 if a == b else inf for b in range(m)] for a in range(m)])]
     while stack:
-        signs, cs, d = stack.pop()
+        cs, d = stack.pop()
         if len(cs) == len(pairs):
-            yield Region(signs, _witness(d, coords), cs, inf not in chain.from_iterable(d))
+            yield Region(r, cs, _witness(d, coords), inf not in chain.from_iterable(d))
         else:  # popped last, the top interval is entered first
             i, j = pairs[len(cs)]
-            stack += [(signs + blocks[c], cs + (c,), _tighten(d, i, j, *ends[c]))
+            stack += [(cs + (c,), _tighten(d, i, j, *ends[c]))
                       for c in reversed(_intervals(d, i, j, r))]
 
 
@@ -183,8 +188,6 @@ def witness_satisfies(region: Region, hyperplanes: tuple[Hyperplane, ...]) -> bo
     if len(w) != m:
         side = "fewer" if len(w) < m else "more"
         raise ValidationError(f"witness has {side} coordinates than the arrangement")
-    if not set(region.signs) <= {1, -1} or not set(map(type, region.signs)) <= {int}:
-        raise ValidationError("signs must be +1 or -1")
     if not all([type(x) is Fraction or isinstance(x, Rational) for x in w]):
         raise ValidationError("witness entries must be rational")
     den = lcm(*[x.denominator for x in w])

@@ -320,7 +320,7 @@ class TestVerifyStreaming:
 
         def regions(k, r):
             first, *rest = found(k, r)
-            return [shi.Region(first.signs, (Fraction(0),) * k), *rest]
+            return [replace(first, witness=(Fraction(0),) * k), *rest]
 
         monkeypatch.setattr(shi, "regions", regions)
         code, out, _ = run(capsys, "verify", "--suite", "shi")

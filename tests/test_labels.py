@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from hypertrees import (
     HyperTree,
+    Hyperplane,
     Matching,
     PruferCode,
+    Region,
     ValidationError,
     build_arrangement,
     consecutive_matching,
@@ -82,6 +84,8 @@ ENTRY_POINTS = [
     ("count_rooted_trees_recursive", count_rooted_trees_recursive, (5, 3)),
     ("regions", regions, (2, 1)),
     ("build_arrangement", build_arrangement, (2, 1)),
+    ("Hyperplane", Hyperplane, (1, 2, 0)),
+    ("Region", lambda r, cs: Region(r, cs, (Fraction(1, 2), Fraction(0)), True), (1, (0,))),
     # a search cap is an integer too
     ("enumerate_parking cap", lambda k, r, cap: list(enumerate_parking(k, r, cap)), (3, 1, 64)),
     ("enumerate_spanning_trees cap",
@@ -151,6 +155,14 @@ def test_every_entry_point_refuses_a_non_integer(data):
         (lambda: list(enumerate_parking(2, 1, cap=None)), "cap None is not an integer"),
         (lambda: list(enumerate_parking(2, 1, cap=100.5)), "cap 100.5 is not an integer"),
         (lambda: regions(2, 1, cap="x"), "cap 'x' is not an integer"),
+        (lambda: Region(2.0, (0,), (0, 0), True), "size 2.0 is not an integer"),
+        (lambda: Region(True, (0,), (0, 0), True), "size True is not an integer"),
+        (lambda: Region(0, (0,), (0, 0), True), "need r >= 1"),
+        (lambda: Region(1, (0.5,), (0, 0), True), "interval 0.5 is not an integer"),
+        (lambda: Region(1, (2,), (3, 0), False), "interval 2 outside [-1, 1]"),
+        (lambda: Region(2, (-3,), (-4, 0), False), "interval -3 outside [-2, 2]"),
+        (lambda: Hyperplane(1, 2, 0.5), "hyperplane field 0.5 is not an integer"),
+        (lambda: Hyperplane(2, 1, 0), "need 1 <= i < j, got i = 2, j = 1"),
         (lambda: HyperTree(3, 3, (1, 2, 3)), "expected groups of vertex labels, got 1"),
         (lambda: HyperTree(3, 3, 5), "expected groups of vertex labels, got 5"),
         (lambda: Matching(1, (1, 2)), "expected groups of block member labels, got 1"),
@@ -173,7 +185,10 @@ def test_every_entry_point_refuses_a_non_integer(data):
         "egf_rooted_trees-float-r-order-1", "rooted-n-1-float-r", "count-bool-n", "code-float-n",
         "enumerate-float-n", "egf-float-order", "recursive-float-n", "regions-float-m",
         "enumerate-none-cap", "enumerate-no-trees-float-cap", "parking-none-cap",
-        "parking-float-cap", "regions-str-cap", "tree-int-edge", "tree-int-edges",
+        "parking-float-cap", "regions-str-cap", "region-float-r", "region-bool-r",
+        "region-r0", "region-float-interval", "region-interval-above-r",
+        "region-interval-below-r", "hyperplane-float-c", "hyperplane-i-above-j",
+        "tree-int-edge", "tree-int-edges",
         "matching-int-blocks", "matching-int-block",
         "tree-one-shot-str-vertex", "matching-one-shot-none-member", "tree-one-shot-int-edge",
         "tree-one-shot-group", "matching-one-shot-group",

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, inf
@@ -39,6 +40,23 @@ class TestBuildArrangement:
     def test_deterministic_order(self):
         hps = build_arrangement(3, 1)
         assert hps == tuple(sorted(hps, key=lambda h: (h.i, h.j, h.c)))
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ((-1, 2, 0), "need 1 <= i < j, got i = -1, j = 2"),
+            ((0, 2, 0), "need 1 <= i < j, got i = 0, j = 2"),
+            ((2, 2, 0), "need 1 <= i < j, got i = 2, j = 2"),
+            ((1, 2, 0.25), "hyperplane field 0.25 is not an integer"),
+            ((1, 2, True), "hyperplane field True is not an integer"),
+            ((1.0, 2, 0), "hyperplane field 1.0 is not an integer"),
+            ((1, 2, "0"), "hyperplane field '0' is not an integer"),
+        ],
+    )
+    def test_malformed_hyperplane_refused(self, fields, message):
+        # without the check, i = -1 read x_m and answered, i = 0 failed both
+        # signs, 0.25 and True were compared as they are, and 1.0 and "0" raised TypeError
+        assert outcome(Hyperplane, *fields) == (ValidationError, message)
 
 
 class TestCountRegions:
@@ -228,22 +246,30 @@ class TestRegionFields:
     @pytest.mark.parametrize("m", [0, 1])
     @pytest.mark.parametrize("r", [1, 3])
     def test_single_region_is_bounded(self, m, r):
-        assert regions(m, r) == [Region((), (Fraction(0),) * m, (), True)]
+        assert regions(m, r) == [Region(r, (), (Fraction(0),) * m, True)]
 
-    def test_hand_built_region_carries_the_defaults(self):
-        reg = Region((1, -1), (Fraction(1, 2), Fraction(0)))
-        assert (reg.intervals, reg.bounded) == ((), False)
-        assert witness_satisfies(reg, build_arrangement(2, 1))
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_derived_signs_hold_at_a_point_of_each_interval(self, r):
+        # the hyperplane check is independent of the derivation: a point of
+        # interval (c, c+1), or one step past the finite end of an open-ended
+        # one, lies on the side of every x_1 - x_2 = h that the signs name
+        hps = build_arrangement(2, r)
+        for c in range(-r, r + 1):
+            x = c + 1 if c == r else c - 1 if c == -r else c + Fraction(1, 2)
+            reg = Region(r, (c,), (x, 0), -r < c < r)
+            assert len(reg.signs) == 2 * r
+            assert witness_satisfies(reg, hps)
 
 
 class TestWitnessSatisfies:
     def test_detects_violation(self):
         hps = build_arrangement(2, 1)
-        bogus = Region((1, 1), (Fraction(0), Fraction(0)))
+        bogus = Region(1, (1,), (Fraction(0), Fraction(0)), False)
         assert not witness_satisfies(bogus, hps)
 
     def test_length_mismatch_rejected(self):
-        region = Region((1,), (Fraction(0), Fraction(0)))
+        # r = 2 gives four signs to the pair, r = 1 two hyperplanes
+        region = Region(2, (0,), (Fraction(0), Fraction(0)), True)
         assert outcome(witness_satisfies, region, build_arrangement(2, 1)) == (
             ValidationError, "sign vector length does not match arrangement"
         )
@@ -251,14 +277,14 @@ class TestWitnessSatisfies:
     @pytest.mark.parametrize("size", [1, 2])
     def test_short_witness_rejected(self, size):
         # x_1 = x_2 = 0 lies on the first hyperplane, so size 2 fails before x_3 is read
-        region = Region((1,) * 6, (Fraction(0),) * size)
+        region = Region(1, (1, 1, 1), (Fraction(0),) * size, False)
         assert outcome(witness_satisfies, region, build_arrangement(3, 1)) == (
             ValidationError, "witness has fewer coordinates than the arrangement"
         )
 
     def test_long_witness_rejected(self):
         region = regions(3, 1)[0]
-        longer = Region(region.signs, region.witness + (Fraction(0),))
+        longer = replace(region, witness=region.witness + (Fraction(0),))
         assert outcome(witness_satisfies, longer, build_arrangement(3, 1)) == (
             ValidationError, "witness has more coordinates than the arrangement"
         )
@@ -267,44 +293,42 @@ class TestWitnessSatisfies:
     @pytest.mark.parametrize("size", [0, 1, 2, 5])
     def test_witness_length_without_hyperplanes(self, m, size):
         # no hyperplane names a coordinate, so the arrangement has at most one
-        region = Region((), (Fraction(0),) * size)
+        region = Region(1, (), (Fraction(0),) * size, True)
         expected = True if size <= 1 else (
             ValidationError, "witness has more coordinates than the arrangement"
         )
         assert outcome(witness_satisfies, region, build_arrangement(m, 1)) == expected
 
-    @pytest.mark.parametrize("signs", [(2, 2), (0, 0), (True, -1), (1, -1.0)])
-    def test_sign_outside_plus_minus_one_rejected(self, signs):
-        # x_1 - x_2 = 1/2 lies in the region (1, -1); a bool or a float sign
-        # is refused although it compares equal to the right one
-        region = Region(signs, (Fraction(1, 2), Fraction(0)))
-        assert outcome(witness_satisfies, region, build_arrangement(2, 1)) == (
-            ValidationError, "signs must be +1 or -1"
-        )
-
     @pytest.mark.parametrize("entry", [1.5, "1/2", None])
     def test_non_rational_entry_rejected(self, entry):
         # 1.5 lies in the region x_1 - x_2 > 1, but a float is not exact
-        region = Region((1, 1), (entry, Fraction(0)))
+        region = Region(1, (1,), (entry, Fraction(0)), False)
         assert outcome(witness_satisfies, region, build_arrangement(2, 1)) == (
             ValidationError, "witness entries must be rational"
         )
 
     @pytest.mark.parametrize("m,r", [(4, 2), (5, 1), (3, 3)])
     def test_every_single_sign_flip_fails(self, m, r):
-        # the witness is strictly inside its region, so it lies on the wrong
-        # side of whichever hyperplane has its sign flipped
+        # shifting one pair's interval by +-1 within [-r, r] flips exactly the
+        # sign of the hyperplane between the two intervals; the witness is
+        # strictly inside its region, so it lies on that hyperplane's wrong side
         hps = build_arrangement(m, r)
+        shifts = 0
         for reg in regions(m, r):
-            for h in range(len(hps)):
-                signs = reg.signs[:h] + (-reg.signs[h],) + reg.signs[h + 1:]
-                assert witness_satisfies(Region(signs, reg.witness), hps) is False
+            cs = reg.intervals
+            for p, shift in product(range(len(cs)), (-1, 1)):
+                if -r <= cs[p] + shift <= r:
+                    moved = replace(reg, intervals=cs[:p] + (cs[p] + shift,) + cs[p + 1:])
+                    assert sum(a != b for a, b in zip(moved.signs, reg.signs)) == 1
+                    assert witness_satisfies(moved, hps) is False
+                    shifts += 1
+        assert shifts > 0
 
     def test_int_witness(self):
         # x_1 - x_2 = 2 lies above both hyperplanes x_1 - x_2 = 0 and = 1; 1 lies on one
         hps = build_arrangement(2, 1)
-        assert witness_satisfies(Region((1, 1), (2, 0)), hps)
-        assert not witness_satisfies(Region((1, 1), (1, 0)), hps)
+        assert witness_satisfies(Region(1, (1,), (2, 0), False), hps)
+        assert not witness_satisfies(Region(1, (1,), (1, 0), False), hps)
 
     def test_rational_that_is_not_a_fraction(self):
         # a Fraction subclass takes the generic Rational path
@@ -312,15 +336,15 @@ class TestWitnessSatisfies:
             pass
 
         hps = build_arrangement(2, 1)
-        assert witness_satisfies(Region((1, -1), (SubFraction(1, 2), 0)), hps)
-        assert not witness_satisfies(Region((1, 1), (SubFraction(1, 2), 0)), hps)
+        assert witness_satisfies(Region(1, (0,), (SubFraction(1, 2), 0), True), hps)
+        assert not witness_satisfies(Region(1, (1,), (SubFraction(1, 2), 0), False), hps)
 
     def test_int_and_mixed_denominators(self):
         hps = build_arrangement(3, 1)
         # differences 4/3, 5/2 and 7/6 over the common denominator 6
-        inside = Region((1,) * 6, (3, Fraction(5, 3), Fraction(1, 2)))
+        inside = Region(1, (1, 1, 1), (3, Fraction(5, 3), Fraction(1, 2)), False)
         assert witness_satisfies(inside, hps)
-        assert not witness_satisfies(Region((1,) * 5 + (-1,), inside.witness), hps)
+        assert not witness_satisfies(replace(inside, intervals=(1, 1, 0)), hps)
 
 
 def interval(c, r):
