@@ -60,7 +60,8 @@ class Region:
         r = self.r
         _check_sizes(r=(r, 1))
         _check_labels(self.intervals, -r, r, "interval")
-        signs = tuple([1 if h <= c else -1 for c in self.intervals for h in range(-r + 1, r + 1)])
+        hs = range(-r + 1, r + 1)
+        signs = tuple([1 if h <= c else -1 for c in self.intervals for h in hs])
         object.__setattr__(self, "signs", signs)
 
 
@@ -75,27 +76,26 @@ def build_arrangement(m: int, r: int) -> tuple[Hyperplane, ...]:
 
 
 def _tighten(d: Bounds, i: int, j: int, upper: float, lower: float) -> Bounds:
-    """Closed copy of ``d`` with x_i - x_j < upper and x_j - x_i < lower added.
+    """Closed ``d`` with x_i - x_j < upper and x_j - x_i < lower added.
 
-    The caller has checked consistency, so each new edge a -> b shortens
-    paths only by routing x -> a -> b -> y: O(m^2) per edge.  The copy is
-    shallow: row x is replaced by a new list when the edge can reach it
-    (d[x][a] + w < oo) and shared with ``d`` otherwise, and no row is ever
-    changed in place, so ``d`` and every DBM sharing its rows stay as they
-    were.
+    A new edge a -> b of weight w (consistent: the caller checked) shortens paths only
+    via x -> a -> b -> y, so row x changes exactly when d[x][a] + w < d[x][b] (else each
+    such path costs >= d[x][b] + d[b][y] >= d[x][y]).  Only those rows are rebuilt, O(m)
+    each, and the rest are shared with ``d``; the row list is copied once if a bound is
+    tighter, else ``d`` comes back as is.  No row or list is changed in place, so sharing is safe.
     """
-    d = d[:]
+    out = d[:] if upper < d[i][j] or lower < d[j][i] else d
     for a, b, w in ((i, j, upper), (j, i, lower)):
-        if w < d[a][b]:
-            out_b = d[b]
-            for x, row in enumerate(d):
+        if w < out[a][b]:
+            out_b = out[b]
+            for x, row in enumerate(out):
                 x_to_b = row[a] + w
-                if x_to_b < inf:
-                    d[x] = [
+                if x_to_b < row[b]:
+                    out[x] = [
                         x_to_b + b_to_y if x_to_b + b_to_y < v else v
                         for v, b_to_y in zip(row, out_b)
                     ]
-    return d
+    return out
 
 
 def _intervals(d: Bounds, i: int, j: int, r: int) -> range:

@@ -98,7 +98,7 @@ def edge_lists(draw):
             del edges[j]
         elif spoil == "repeat":
             edges.append(list(edges[j]))
-        elif spoil == "set":
+        elif spoil == "set" and edges[j]:  # "cut" may have emptied it
             edges[j][draw(st.integers(0, len(edges[j]) - 1))] = draw(label)
         elif spoil == "grow":
             edges[j].append(draw(label))

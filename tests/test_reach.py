@@ -13,10 +13,10 @@ from hypertrees.shi import build_arrangement, iter_regions, witness_satisfies
 pytestmark = pytest.mark.reach
 
 
-# time budgets: (5,3) 10 s, (6,2) 60 s; measured 3.1 s and 19.6 s
-@pytest.mark.parametrize("m,r", [(5, 3), (6, 2)])
+# time budgets: (5,3) 10 s, (6,2) 60 s, (7,1) 30 s; measured 2.5 s, 16.2 s and 12.2 s
+@pytest.mark.parametrize("m,r", [(5, 3), (6, 2), (7, 1)])
 def test_shi_regions_streamed(m, r):
-    # 65,536 and 371,293 regions, within the cap of 10^7; the stream holds
+    # 65,536, 371,293 and 262,144 regions, within the cap of 10^7; the stream holds
     # one path of the search, so memory stays flat as they are counted
     hyperplanes = build_arrangement(m, r)
     count = bounded = 0

@@ -410,6 +410,40 @@ def test_tighten_leaves_its_input_unchanged(case):
     assert d == final
 
 
+def floyd_warshall(d):
+    """The shortest-path closure of d, from scratch."""
+    d = [row[:] for row in d]
+    for k, row_k in enumerate(d):
+        for row in d:
+            for y, k_to_y in enumerate(row_k):
+                row[y] = min(row[y], row[k] + k_to_y)
+    return d
+
+
+@settings(max_examples=100, deadline=None)
+@given(closed_regions())
+def test_tighten_matches_closure_from_scratch(case):
+    # along the replayed draw, add every pair's fitting intervals: earlier pairs'
+    # bounds are already implied, later pairs' mostly shorten some rows
+    m, r, final = case
+    d = [[0 if a == b else inf for b in range(m)] for a in range(m)]
+    for next_i, next_j in combinations(range(m), 2):
+        for i, j in combinations(range(m), 2):
+            for lo, hi in fitting_intervals(d, i, j, r):
+                before = copy.deepcopy(d)
+                got = shi._tighten(d, i, j, hi, -lo)
+                bounded = copy.deepcopy(d)
+                bounded[i][j], bounded[j][i] = min(d[i][j], hi), min(d[j][i], -lo)
+                assert got == floyd_warshall(bounded)
+                # a row is rebuilt exactly when the bounds shorten it
+                assert all((new is old) == (new == old) for new, old in zip(got, d))
+                assert (got is d) == (hi >= d[i][j] and -lo >= d[j][i])
+                assert d == before
+        [(lo, hi)] = fitting_intervals(final, next_i, next_j, r)
+        d = shi._tighten(d, next_i, next_j, hi, -lo)
+    assert d == final
+
+
 @pytest.mark.parametrize(
     "f,m,r",
     [(build_arrangement, -1, 1), (regions, 2, 0), (regions, -1, 2), (iter_regions, -1, 2)],
