@@ -9,12 +9,15 @@ increasing order of their values.
 
 The forward map reads each block's connection vertex off one breadth-first
 search from n.  A pendant hyperedge changes no existing distance, so the
-inverse keeps one (distance, label)-sorted list and inserts new vertices.
+inverse builds the BFS order level by level: the complete levels sorted in
+one list, the level below them unsorted.  Values come in weakly increasing
+order, so once one points into that level, every later block joins it or a
+deeper level and it gains no more vertices: it is complete, and it is sorted
+once, by label.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from typing import Sequence
 
 from .core import (
@@ -70,12 +73,14 @@ def parking_to_tree(a: Sequence[int], r: int) -> HyperTree:
     if not is_r_parking(a, r):
         raise ValidationError(f"{tuple(a)} is not an r-parking function for r = {r}")
     n = r * len(a) + 1
-    ranked = [n]  # placed vertices v at distance d from n as d * (n + 1) + v, sorted
+    ranked = [n]  # the complete BFS levels, in (distance, label) order
+    below: list[int] = []  # the level below them, unsorted
     edges: list[tuple[int, ...]] = []
     for i in sorted(range(len(a)), key=a.__getitem__):
-        d, x = divmod(ranked[a[i]], n + 1)
+        if a[i] >= len(ranked):  # the first value past the complete levels:
+            ranked += sorted(below)  # no later block joins above that level, so it is complete
+            below = []
         block = tuple(range(r * i + 1, r * (i + 1) + 1))
-        edges.append(block + (x,))
-        for v in block:
-            insort(ranked, (d + 1) * (n + 1) + v)
+        edges.append(block + (ranked[a[i]],))
+        below += block
     return HyperTree(n, r + 1, tuple(edges))

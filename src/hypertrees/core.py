@@ -175,7 +175,9 @@ def parse_tree(text: str, n: int, r: int) -> HyperTree:
 
 
 def format_tree(t: HyperTree) -> str:
-    return ";".join([",".join(map(str, e)) for e in t.edges])
+    # every hyperedge has t.r vertices, so one "%d" template formats them all
+    edge = ",".join(["%d"] * t.r)
+    return ";".join([edge] * len(t.edges)) % tuple(chain.from_iterable(t.edges))
 
 
 def parse_matching(text: str, b: int) -> Matching:

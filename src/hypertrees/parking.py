@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from itertools import product
+from operator import le
 from typing import Iterator, Sequence
 
 from .core import DEFAULT_CAP, _check_labels, _check_power, _check_sizes, _int_groups
@@ -10,7 +11,7 @@ from .core import DEFAULT_CAP, _check_labels, _check_power, _check_sizes, _int_g
 
 def _fits(a: Sequence[int], r: int) -> bool:
     """The sorted bound on checked entries: b_i <= r*(i-1) for the sorted b."""
-    return all(x <= r * i for i, x in enumerate(sorted(a)))
+    return all(map(le, sorted(a), range(0, r * len(a), r)))
 
 
 def is_r_parking(a: Sequence[int], r: int) -> bool:

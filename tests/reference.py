@@ -1,8 +1,8 @@
-"""Test-only reference: the per-edge hyperedge checks, the union-find
-spanning-tree predicate, the quadratic-and-worse Prufer codes and
-tree/parking bijection, and series composition over rational coefficients,
-kept as first written so the library versions can be compared with them
-output for output.
+"""Test-only reference: the per-edge hyperedge checks, the per-edge tree
+format, the union-find spanning-tree predicate, the per-entry sorted parking
+bound, the quadratic-and-worse Prufer codes and tree/parking bijection, and
+series composition over rational coefficients, kept as first written so the
+library versions can be compared with them output for output.
 
 Each function follows the paper's description step by step: matching
 extraction by iterative deletion, a fresh leaf scan per encoding step, the
@@ -48,6 +48,16 @@ def hypertree_refusal(n: int, r: int, edges: Iterable[Iterable]) -> str | None:
     if len(set(canon)) != len(canon):
         return "duplicate hyperedge"
     return None
+
+
+def format_tree(t: HyperTree) -> str:
+    """Each hyperedge joined on its own, then the hyperedges."""
+    return ";".join([",".join(map(str, e)) for e in t.edges])
+
+
+def fits(a: Sequence[int], r: int) -> bool:
+    """The sorted bound b_i <= r*(i-1) for the sorted b, entry by entry."""
+    return all(x <= r * i for i, x in enumerate(sorted(a)))
 
 
 def is_spanning_tree(t: HyperTree) -> bool:

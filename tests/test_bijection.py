@@ -208,6 +208,26 @@ class TestAgainstReference:
         assert extract_matching(t) == consecutive_matching(len(a), r)
         assert tree_to_parking(t) == a
 
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", range(7))
+    def test_level_boundaries_match_reference(self, k, r):
+        # all zeros fill level 1 alone; (0, r, 2r, ..) points each value at the
+        # last vertex placed, so every value but the first completes a level
+        for a in {(0,) * k, tuple(range(0, r * k, r)), tuple(range(r * (k - 1), -1, -r))}:
+            t = parking_to_tree(a, r)
+            assert t == reference.parking_to_tree(a, r)
+            assert tree_to_parking(t) == a
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_level_filled_out_of_label_order(self, r):
+        # block 3 (value 1) joins level 2 before block 2 (value r + 1) does; the
+        # last value, 2r + 1, points at that level's least label, block 2's first
+        a = (0, 0, r + 1, 1, 2 * r + 1)
+        t = parking_to_tree(a, r)
+        assert t == reference.parking_to_tree(a, r)
+        assert (2 * r + 1, *range(4 * r + 1, 5 * r + 1)) in t.edges
+        assert tree_to_parking(t) == a
+
     def test_ten_thousand_blocks(self):
         rng = random.Random(10_000)
         k, r = 10_000, 2

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations, islice, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypertrees.core import (
@@ -24,7 +24,7 @@ from hypertrees.core import (
     tree_size,
 )
 from hypertrees.parking import parse_sequence
-from hypertrees.prufer import decode, encode, parse_code
+from hypertrees.prufer import PruferCode, decode, encode, parse_code
 
 import reference
 from conftest import naive_spanning_trees, outcome
@@ -377,7 +377,27 @@ class TestExtractMatching:
         assert len(fibers) == count_matchings_formula(n - 1, r - 1)
 
 
+@st.composite
+def decoded_trees(draw):
+    """A tree decoded from a uniform random block matching and code, r = 2..5, k = 0..300."""
+    r = draw(st.integers(2, 5))
+    k = draw(st.integers(0, 300))
+    n = (r - 1) * k + 1
+    perm = draw(st.permutations(range(1, n)))
+    m = Matching(r - 1, tuple(tuple(perm[i:i + r - 1]) for i in range(0, n - 1, r - 1)))
+    entries = draw(st.lists(st.integers(1, n), min_size=max(k - 1, 0), max_size=max(k - 1, 0)))
+    return decode(PruferCode(n, tuple(entries)), m, r)
+
+
 class TestTextFormats:
+    @given(decoded_trees())
+    @example(HyperTree(1, 3, ()))  # k = 0: the empty text
+    @settings(max_examples=60, deadline=None)
+    def test_format_parse_round_trip(self, t):
+        text = format_tree(t)
+        assert text == reference.format_tree(t)
+        assert parse_tree(text, t.n, t.r) == t
+
     def test_tree_round_trip(self):
         t = parse_tree("3,4,7;1,2,3;3,5,6", 7, 3)
         assert format_tree(t) == FIG1  # canonical order on output

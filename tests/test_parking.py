@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hypertrees.core import ResourceCapError, ValidationError
 from hypertrees.parking import (
+    _fits,
     count_parking,
     enumerate_parking,
     format_sequence,
@@ -15,6 +16,7 @@ from hypertrees.parking import (
     simulate_parking,
 )
 
+import reference
 from conftest import outcome
 
 
@@ -66,6 +68,14 @@ class TestIsRParking:
         if a[i] > 0:
             a[i] -= 1
         assert is_r_parking(a, r)
+
+
+@pytest.mark.parametrize("k", range(6))
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_fits_matches_reference(k, r):
+    # every tuple over {0..r(k-1)+1}: the top bound and one past it
+    for a in product(range(r * max(k - 1, 0) + 2), repeat=k):
+        assert _fits(a, r) == reference.fits(a, r), a
 
 
 class TestSimulateParking:

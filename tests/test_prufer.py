@@ -15,6 +15,7 @@ from hypertrees.core import (
     count_matchings_formula,
     enumerate_matchings,
     extract_matching,
+    format_tree,
     parse_matching,
     parse_tree,
 )
@@ -260,4 +261,5 @@ class TestAgainstReference:
         m = _matching(perm, r - 1)
         code = PruferCode(n, tuple(rng.randint(1, n) for _ in range(k - 1)))
         t = decode(code, m, r)
+        t = parse_tree(format_tree(t), n, r)
         assert encode(t, m) == code
