@@ -11,13 +11,15 @@ per tree and ``verify`` prints each check as it runs.
 
 Exit codes: 0 success, 1 internal error (a defect in the library, not in the
 input), 2 usage error, 3 invalid input, 4 resource cap exceeded, 5
-verification failure.
+verification failure.  A reader that closes stdout early (``| head -1``) ends
+the run with exit 0 and nothing on stderr: the rest of the output is dropped.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from itertools import combinations, product
@@ -168,12 +170,9 @@ def _check_prufer(max_n: int) -> Iterator[tuple[bool, str]]:
 def _check_bijection(_max_n: int) -> Iterator[tuple[bool, str]]:
     for k, r in ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3)):
         funcs = list(parking.enumerate_parking(k, r))
-        round_ok = all(
-            bijection.tree_to_parking(bijection.parking_to_tree(a, r)) == a
-            for a in funcs
-        )
-        trees = {bijection.parking_to_tree(a, r) for a in funcs}
-        count_ok = len(funcs) == len(trees) == parking.count_parking(k, r)
+        trees = [bijection.parking_to_tree(a, r) for a in funcs]
+        round_ok = list(map(bijection.tree_to_parking, trees)) == funcs
+        count_ok = len(funcs) == len(set(trees)) == parking.count_parking(k, r)
         yield round_ok and count_ok, f"bijection k={k} r={r} functions={len(funcs)}"
 
 
@@ -377,6 +376,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         for value in args.func(args):
             # only commands with --json yield values that are not strings
             print(value if isinstance(value, str) else _render(value, args.json))
+        sys.stdout.flush()  # a closed pipe shows here, not at the interpreter's exit
+    except BrokenPipeError:  # the reader has all it wants; fd 1 to devnull, so exit flushes no more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except _VerificationFailed:
         return EXIT_VERIFY
     except core.ResourceCapError as exc:

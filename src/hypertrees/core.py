@@ -110,14 +110,12 @@ class HyperTree:
         n, r = self.n, self.r
         tree_size(n, r)  # refuses n < 1 and r < 2
         canon = _canonical(self.edges, "vertex")
-        ints = set(map(type, chain.from_iterable(canon))) <= {int}  # one type test for all
-        for e in canon:  # an edge is checked label by label only when a quick test fails
-            if not (ints and len(e) == len(set(e)) == r and e[0] >= 1 and e[-1] <= n):
-                if len(e) != r:
-                    raise ValidationError(f"hyperedge {e} has size {len(e)}, expected {r}")
-                if len(set(e)) != len(e):
-                    raise ValidationError(f"hyperedge {e} repeats a vertex")
-                _check_labels(e, 1, n, "vertex")
+        for e in canon:
+            if len(e) != r:
+                raise ValidationError(f"hyperedge {e} has size {len(e)}, expected {r}")
+            if len(set(e)) != len(e):
+                raise ValidationError(f"hyperedge {e} repeats a vertex")
+            _check_labels(e, 1, n, "vertex")
         if len(set(canon)) != len(canon):
             raise ValidationError("duplicate hyperedge")
         object.__setattr__(self, "edges", canon)
@@ -138,18 +136,14 @@ class Matching:
     def __post_init__(self) -> None:
         _check_sizes(block_size=(self.block_size, 1))
         canon = _canonical(self.blocks, "block member")
-        index: dict[int, int] = {}
-        for i, b in enumerate(canon):
+        for b in canon:
             if len(b) != self.block_size:
                 raise ValidationError(f"block {b} has size {len(b)}, expected {self.block_size}")
-            for v in b:
-                if v in index:
-                    raise ValidationError(f"block {b} overlaps another block")
-                index[v] = i
-        _check_labels(index, None, None, "block member")
+        _check_labels(chain.from_iterable(canon), None, None, "block member")
+        index = {v: i for i, b in enumerate(canon) for v in b}
         m = self.block_size * len(canon)
-        if index.keys() != set(range(1, m + 1)):
-            raise ValidationError(f"blocks do not cover [1, {m}]")
+        if index.keys() != set(range(1, m + 1)):  # m labels: a repeat leaves one uncovered
+            raise ValidationError(f"blocks do not partition [1, {m}]")
         object.__setattr__(self, "blocks", canon)
         object.__setattr__(self, "index", index)
 

@@ -1,8 +1,9 @@
-"""Test-only reference: the per-edge hyperedge checks, the per-edge tree
-format, the union-find spanning-tree predicate, the per-entry sorted parking
-bound, the quadratic-and-worse Prufer codes and tree/parking bijection, and
-series composition over rational coefficients, kept as first written so the
-library versions can be compared with them output for output.
+"""Test-only reference: the per-edge hyperedge checks, the block-by-block
+matching checks, the per-edge tree format, the union-find spanning-tree
+predicate, the per-entry sorted parking bound, the quadratic-and-worse Prufer
+codes and tree/parking bijection, and series composition over rational
+coefficients, kept as first written so the library versions can be compared
+with them output for output.
 
 Each function follows the paper's description step by step: matching
 extraction by iterative deletion, a fresh leaf scan per encoding step, the
@@ -47,6 +48,25 @@ def hypertree_refusal(n: int, r: int, edges: Iterable[Iterable]) -> str | None:
                 return f"vertex {v} outside [1, {n}]"
     if len(set(canon)) != len(canon):
         return "duplicate hyperedge"
+    return None
+
+
+def matching_refusal(b: int, blocks: Iterable[Iterable]) -> str | None:
+    """The message with which ``Matching(b, blocks)`` refuses, or None, for a
+    valid block size b >= 1 and groups of labels that sort: each block in
+    canonical order checked for its size, then every member for its type,
+    then the sorted members against 1, 2, .., m for m = b * (block count)."""
+    canon = tuple(sorted(tuple(sorted(g)) for g in blocks))
+    for g in canon:
+        if len(g) != b:
+            return f"block {g} has size {len(g)}, expected {b}"
+    members = [v for g in canon for v in g]
+    for v in members:
+        if type(v) is not int:
+            return f"block member {v!r} is not an integer"
+    m = b * len(canon)
+    if sorted(members) != list(range(1, m + 1)):
+        return f"blocks do not partition [1, {m}]"
     return None
 
 

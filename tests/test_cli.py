@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import shlex
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -8,6 +10,7 @@ from decimal import Decimal
 from fractions import Fraction
 from io import StringIO
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -70,6 +73,23 @@ class TestEnumerate:
             text = ";".join(",".join(map(str, e)) for e in obj["edges"])
             t = parse_tree(text, obj["n"], obj["r"])
             assert t.edges == tuple(tuple(e) for e in obj["edges"])
+
+    @pytest.mark.parametrize("n,r,first", [
+        (10, 4, b"1,2,3,4;1,5,6,7;1,8,9,10\n"),  # 28,000 lines, far past a pipe buffer
+        (5, 3, b""),  # 15 lines, still in stdout's buffer when the run ends
+    ], ids=["28000-lines", "15-lines"])
+    def test_closed_pipe_exits_0_quietly(self, n, r, first):
+        # the reader takes the first line, or none, and closes; stdout block-buffered
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        cmd = [sys.executable, "-m", "hypertrees.cli", "enumerate", "--n", str(n), "--r", str(r)]
+        with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env={**env, "PYTHONPATH": path}) as proc:
+            line = proc.stdout.readline() if first else b""
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (line, proc.returncode, err) == (first, 0, b"")
 
 
 class TestMatching:

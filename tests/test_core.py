@@ -443,7 +443,51 @@ class TestTextFormats:
         )
 
 
+@st.composite
+def block_lists(draw):
+    """(b, blocks): a random partition of [1, m] into blocks of size b, then spoiled a few
+    times over: a block dropped, repeated or added, or one block grown or cut, or one
+    member set to a label out of range, to another label (a repeat) or to an alias, 2.0
+    or True, that compares equal to an int."""
+    b = draw(st.integers(1, 4))
+    k = draw(st.integers(0, 5))
+    m = b * k
+    order = draw(st.permutations(range(1, m + 1)))
+    blocks = [list(order[i * b:(i + 1) * b]) for i in range(k)]
+    label = st.one_of(st.integers(0, m + 1), st.sampled_from([2.0, True]))
+    spoils = st.sampled_from(["drop", "repeat", "add", "set", "grow", "cut"])
+    for spoil in draw(st.lists(spoils, max_size=3)):
+        if spoil == "add" or not blocks:
+            blocks.append(draw(st.lists(label, min_size=b, max_size=b)))
+            continue
+        j = draw(st.integers(0, len(blocks) - 1))
+        if spoil == "drop":
+            del blocks[j]
+        elif spoil == "repeat":
+            blocks.append(list(blocks[j]))
+        elif spoil == "set" and blocks[j]:  # "cut" may have emptied it
+            blocks[j][draw(st.integers(0, len(blocks[j]) - 1))] = draw(label)
+        elif spoil == "grow":
+            blocks[j].append(draw(label))
+        elif blocks[j]:
+            blocks[j].pop()
+    return b, blocks
+
+
 class TestMatchingType:
+    @given(block_lists())
+    @settings(max_examples=400, deadline=None)
+    def test_random_block_lists(self, case):
+        # refused with the message of the block-by-block checks; accepted, stored canonically
+        b, blocks = case
+        message = reference.matching_refusal(b, blocks)
+        if message is not None:
+            assert outcome(Matching, b, blocks) == (ValidationError, message)
+            return
+        m = Matching(b, blocks)
+        assert m.blocks == tuple(sorted(tuple(sorted(g)) for g in blocks))
+        assert m.index == {v: i for i, g in enumerate(m.blocks) for v in g}
+
     def test_blocks_ordered_by_minimum(self):
         m = Matching(2, ((5, 6), (1, 2), (3, 4)))
         assert m.blocks == ((1, 2), (3, 4), (5, 6))
@@ -469,9 +513,15 @@ class TestMatchingType:
         (HyperTree, (3, 3, ((1, 2, 3, 4),)), "hyperedge (1, 2, 3, 4) has size 4, expected 3"),
         (HyperTree, (5, 3, ((0, 0, 6),)), "hyperedge (0, 0, 6) repeats a vertex"),
         (HyperTree, (5, 3, ((0, 2, 3),)), "vertex 0 outside [1, 5]"),
+        # member types are checked ahead of the partition: 2.0 is refused, not taken for 2
+        (Matching, (2, ((1, 1),)), "blocks do not partition [1, 2]"),
+        (Matching, (2, ((1, 2), (2, 3))), "blocks do not partition [1, 4]"),
+        (Matching, (2, ((1, 2), (4, 5))), "blocks do not partition [1, 4]"),
+        (Matching, (2, ((1, 2), (2.0, 3))), "block member 2.0 is not an integer"),
     ],
     ids=["tree-n0", "tree-r1", "matching-short-block", "matching-b0", "tree-long-edge",
-         "tree-repeat", "tree-vertex-0"],
+         "tree-repeat", "tree-vertex-0", "matching-repeat-in-block",
+         "matching-repeat-across-blocks", "matching-gap", "matching-alias"],
 )
 def test_construction_refusals(make, args, message):
     assert outcome(make, *args) == (ValidationError, message)
