@@ -22,11 +22,10 @@ import json
 import os
 import sys
 from fractions import Fraction
-from itertools import combinations, product
 from math import factorial
 from typing import Iterator, Sequence
 
-from . import bijection, core, egf, parking, prufer, shi
+from . import bijection, core, egf, parking, prufer, shi, verify
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -117,138 +116,13 @@ def _cmd_shi_regions(args) -> list[str]:
     return [str(count), *(f"{signs} {' '.join(point)}" for signs, point in rows)]
 
 
-# ---------------------------------------------------------------------------
-# cross-theorem verification suites: each yields (ok, text) per check
-
-
-def _check_counts(max_n: int) -> Iterator[tuple[bool, str]]:
-    for r in (3, 4):
-        for n in range(1, max_n + 1):
-            formula = core.count_spanning_trees_formula(n, r)
-            try:
-                brute = sum(1 for _ in core.enumerate_spanning_trees(n, r))
-            except core.ResourceCapError:
-                break  # refused before any tree, and the search only grows with n
-            yield formula == brute, f"counts r={r} n={n} brute={brute} formula={formula}"
-
-
-def _check_fibers(max_n: int) -> Iterator[tuple[bool, str]]:
-    for n, r in ((5, 3), (7, 3), (7, 4)):
-        if n > max_n:
-            continue
-        fibers: dict[core.Matching, int] = {}
-        per_edge_ok = True
-        for t in core.enumerate_spanning_trees(n, r):
-            m = core.extract_matching(t)
-            fibers[m] = fibers.get(m, 0) + 1
-            per_edge_ok &= all(sum(set(b) <= set(e) for b in m.blocks) == 1 for e in t.edges)
-        expected = prufer.count_trees_for_matching(n, r)
-        sizes_ok = set(fibers.values()) == {expected}
-        total_ok = len(fibers) == core.count_matchings_formula(n - 1, r - 1)
-        yield (
-            per_edge_ok and sizes_ok and total_ok,
-            f"fibers n={n} r={r} matchings={len(fibers)} size={expected}",
-        )
-
-
-def _check_prufer(max_n: int) -> Iterator[tuple[bool, str]]:
-    for n, r in ((5, 3), (7, 3), (7, 4)):
-        if n > max_n:
-            continue
-        k = core.tree_size(n, r)
-        total = failures = 0
-        for m in core.enumerate_matchings(n - 1, r - 1):
-            for entries in product(range(1, n + 1), repeat=k - 1):
-                total += 1
-                code = prufer.PruferCode(n, entries)
-                t = prufer.decode(code, m, r)
-                if prufer.encode(t, m) != code or core.extract_matching(t) != m:
-                    failures += 1
-        yield failures == 0, f"prufer-roundtrip n={n} r={r} codes={total} failures={failures}"
-
-
-def _check_bijection(_max_n: int) -> Iterator[tuple[bool, str]]:
-    for k, r in ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3)):
-        funcs = list(parking.enumerate_parking(k, r))
-        trees = [bijection.parking_to_tree(a, r) for a in funcs]
-        round_ok = list(map(bijection.tree_to_parking, trees)) == funcs
-        count_ok = len(funcs) == len(set(trees)) == parking.count_parking(k, r)
-        yield round_ok and count_ok, f"bijection k={k} r={r} functions={len(funcs)}"
-
-
-def _check_parking(_max_n: int) -> Iterator[tuple[bool, str]]:
-    for k in range(1, 7):
-        agree = all(
-            parking.simulate_parking(a) == parking.is_r_parking(a, 1)
-            for a in product(range(k), repeat=k)
-        )
-        yield agree, f"parking-simulation k={k}"
-
-
-def _check_egf(_max_n: int) -> Iterator[tuple[bool, str]]:
-    for r, order in ((3, 9), (4, 10)):
-        report = egf.verify_functional_equation(r, order)
-        yield report.ok, f"egf-functional-equation r={r} order={order}"
-    for n in range(1, 10):
-        match = egf.rooted_tree_count(n, 3) == egf.count_rooted_trees_recursive(n, 3)
-        yield match, f"egf-recurrence r=3 n={n}"
-    for q in range(1, 5):  # n^q / (b!^q q!) with b = r - 1 = 2, n = bq + 1
-        value = egf.lagrange_coefficient(3, q)
-        closed_form = Fraction((2 * q + 1) ** q, factorial(2) ** q * factorial(q))
-        yield value == closed_form, f"egf-lagrange k={q} value={value}"
-
-
-def _pak_stanley_label(region: shi.Region, k: int) -> tuple[int, ...]:
-    """Stanley's label of a region: its interval (c, c+1) of the pair i < j
-    adds c to label i when c > 0 and -c to label j when c < 0."""
-    label = [0] * k
-    for (i, j), c in zip(combinations(range(k), 2), region.intervals):
-        label[i if c > 0 else j] += abs(c)
-    return tuple(label)
-
-
-def _check_shi(_max_n: int) -> Iterator[tuple[bool, str]]:
-    for k, r in ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (4, 2), (5, 1), (3, 3)):
-        regs, hyperplanes = shi.regions(k, r), shi.build_arrangement(k, r)
-        witnessed = all(shi.witness_satisfies(reg, hyperplanes) for reg in regs)
-        n_regions = len(regs)
-        n_parking = parking.count_parking(k, r)
-        n_trees = prufer.count_trees_for_matching(r * k + 1, r + 1)
-        # |chi(1)| = (rk-1)^(k-1) bounded regions
-        bounded = sum(reg.bounded for reg in regs) == (r * k - 1) ** (k - 1)
-        # the labels are a bijection onto the r-parking functions; bounded regions carry
-        # exactly the prime ones (sorted, b_i <= r*i - 1 for i >= 1), the dominant chamber
-        # (every c >= 0) exactly the weakly decreasing ones, and labels map to distinct trees
-        region_of = {_pak_stanley_label(reg, k): reg for reg in regs}
-        funcs = list(parking.enumerate_parking(k, r))
-        chained = len(region_of) == n_regions and region_of.keys() == set(funcs) and all(
-            reg.bounded == all(x < r * i for i, x in enumerate(sorted(a)) if i)
-            and (min(reg.intervals) >= 0) == all(x >= y for x, y in zip(a, a[1:]))
-            for a, reg in region_of.items()
-        ) and len({bijection.parking_to_tree(a, r) for a in region_of}) == n_regions
-        yield (
-            witnessed and chained and bounded and n_regions == n_parking == n_trees,
-            f"shi-triangle k={k} r={r} "
-            f"regions={n_regions} parking={n_parking} trees={n_trees}",
-        )
-
-
-_SUITES = {
-    "counts": _check_counts,
-    "fibers": _check_fibers,
-    "prufer": _check_prufer,
-    "bijection": _check_bijection,
-    "parking": _check_parking,
-    "egf": _check_egf,
-    "shi": _check_shi,
-}
-
-
 def _cmd_verify(args) -> Iterator[str]:
-    suites = _SUITES.values() if args.suite == "all" else [_SUITES[args.suite]]
     total = failures = 0
-    for suite in suites:
-        for ok, text in suite(args.max_n):
+    for name in verify.SUITES if args.suite == "all" else [args.suite]:
+        check, sizes = verify.SUITES[name]
+        if name in ("counts", "fibers", "prufer"):  # (n, r) sizes, bounded by --max-n
+            sizes = [(n, r) for n, r in sizes if n <= args.max_n]
+        for ok, text in check(sizes):
             total += 1
             failures += not ok
             yield f"{'PASS' if ok else 'FAIL'} {text}"
@@ -325,7 +199,7 @@ _COMMANDS = (
      ("json", "k", "r", ("witnesses", dict(action="store_true")),
       ("cap", dict(type=int, default=shi.DEFAULT_REGION_CAP, help="region cap")))),
     ("verify", "cross-theorem verification suites", _cmd_verify,
-     (("suite", dict(choices=["all", *_SUITES], default="all")),
+     (("suite", dict(choices=["all", *verify.SUITES], default="all")),
       ("max-n", dict(type=int, default=9)))),
 )
 

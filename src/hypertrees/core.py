@@ -113,9 +113,11 @@ class HyperTree:
         for e in canon:
             if len(e) != r:
                 raise ValidationError(f"hyperedge {e} has size {len(e)}, expected {r}")
+            _check_labels(e, None, None, "vertex")  # ahead of repeats: 2.0 is not taken for 2
             if len(set(e)) != len(e):
                 raise ValidationError(f"hyperedge {e} repeats a vertex")
-            _check_labels(e, 1, n, "vertex")
+            if e[0] < 1 or e[-1] > n:  # e is sorted ints, r >= 2 of them
+                _check_labels(e, 1, n, "vertex")
         if len(set(canon)) != len(canon):
             raise ValidationError("duplicate hyperedge")
         object.__setattr__(self, "edges", canon)

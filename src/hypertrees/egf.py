@@ -133,7 +133,7 @@ def lagrange_coefficient(r: int, q: int) -> Fraction:
 
     By Lagrange inversion this coefficient, divided by n, gives the rooted-tree
     series coefficient of x^n.  E(y) = exp(y^b / b!), so its closed form is
-    n^q / (b!^q q!); the CLI's ``egf`` verify suite compares the two at r = 3.
+    n^q / (b!^q q!); ``verify.check_egf`` compares the two at r = 3.
     """
     _check_sizes(r=(r, 2), q=(q, 1))
     n = (r - 1) * q + 1

@@ -178,6 +178,15 @@ def regions(m: int, r: int, cap: int = DEFAULT_REGION_CAP) -> list[Region]:
     return list(iter_regions(m, r, cap))
 
 
+def label(region: Region) -> tuple[int, ...]:
+    """Stanley's label of a region of the arrangement in m = len(witness) coordinates:
+    its interval (c, c+1) of the pair i < j adds c to label i when c > 0, -c to j when c < 0."""
+    out = [0] * len(region.witness)
+    for (i, j), c in zip(combinations(range(len(out)), 2), region.intervals):
+        out[i if c > 0 else j] += abs(c)
+    return tuple(out)
+
+
 def witness_satisfies(region: Region, hyperplanes: tuple[Hyperplane, ...]) -> bool:
     """Strict check of a region's witness against its full sign vector, in
     integers: x_i - x_j > c as D*x_i - D*x_j > D*c, D a common denominator."""

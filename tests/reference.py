@@ -33,17 +33,19 @@ from hypertrees.prufer import PruferCode
 def hypertree_refusal(n: int, r: int, edges: Iterable[Iterable]) -> str | None:
     """The message with which ``HyperTree(n, r, edges)`` refuses, or None, for
     valid sizes n >= 1, r >= 2 and groups of labels that sort: each hyperedge
-    in canonical order checked in turn for its size, a repeated vertex and
-    each vertex's type and range, then the edge set for a repeated hyperedge."""
+    in canonical order checked in turn for its size, each vertex's type, a
+    repeated vertex and each vertex's range, then the edge set for a repeated
+    hyperedge."""
     canon = tuple(sorted(tuple(sorted(e)) for e in edges))
     for e in canon:
         if len(e) != r:
             return f"hyperedge {e} has size {len(e)}, expected {r}"
-        if len(set(e)) != len(e):
-            return f"hyperedge {e} repeats a vertex"
         for v in e:
             if type(v) is not int:
                 return f"vertex {v!r} is not an integer"
+        if len(set(e)) != len(e):
+            return f"hyperedge {e} repeats a vertex"
+        for v in e:
             if not 1 <= v <= n:
                 return f"vertex {v} outside [1, {n}]"
     if len(set(canon)) != len(canon):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypertrees import cli, core, egf, parking, shi
+from hypertrees import cli, core, egf, parking, shi, verify
 from hypertrees.cli import main
 from hypertrees.core import parse_tree
 
@@ -244,15 +244,6 @@ class TestShi:
             assert set(signs) <= {"+", "-"} and len(point) == 2
 
 
-    @pytest.mark.parametrize("r", [1, 2])
-    def test_pak_stanley_label_counts_separating_hyperplanes(self, r):
-        # x_1 - x_2 in (c, c+1) lies c hyperplanes above the base region (0, 1)
-        # when c > 0 and -c below it when c < 0; the label takes the count at
-        # coordinate 1 or 2, which the mirrored labelling would swap
-        labels = [cli._pak_stanley_label(reg, 2) for reg in shi.regions(2, r)]
-        assert labels == [(c, 0) for c in range(r, 0, -1)] + [(0, c) for c in range(r + 1)]
-
-
 class TestErrorsAndDeterminism:
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
@@ -317,11 +308,11 @@ class TestErrorsAndDeterminism:
 
 class TestVerifyStreaming:
     def test_lines_before_an_error_stay_printed(self, capsys, monkeypatch):
-        def suite(_max_n):
+        def suite(_sizes):
             yield True, "x"
             raise core.ResourceCapError("cap reached")
 
-        monkeypatch.setitem(cli._SUITES, "counts", suite)
+        monkeypatch.setitem(verify.SUITES, "counts", (suite, verify.SUITES["counts"][1]))
         code, out, err = run(capsys, "verify", "--suite", "counts")
         assert (code, out) == (4, "PASS x\n")
         assert "resource-cap" in err
@@ -336,13 +327,13 @@ class TestVerifyStreaming:
     def test_witness_outside_its_region_fails_the_row(self, capsys, monkeypatch):
         # x = 0 lies on every hyperplane x_i - x_j = 0, so each row's first
         # region fails its witness check while every count stays right
-        found = shi.regions
+        found = shi.iter_regions
 
-        def regions(k, r):
-            first, *rest = found(k, r)
+        def iter_regions(k, r, cap):
+            first, *rest = found(k, r, cap)
             return [replace(first, witness=(Fraction(0),) * k), *rest]
 
-        monkeypatch.setattr(shi, "regions", regions)
+        monkeypatch.setattr(shi, "iter_regions", iter_regions)
         code, out, _ = run(capsys, "verify", "--suite", "shi")
         assert code == 5
         assert "FAIL shi-triangle k=4 r=2 regions=729 parking=729 trees=729" in out.splitlines()
@@ -354,14 +345,14 @@ class TestVerifyStreaming:
         # flips its bounded flag: every count stays right, so each row fails
         # with its text unchanged
         _, passing, _ = run(capsys, "verify", "--suite", "shi")
-        found = shi.regions
+        found = shi.iter_regions
 
-        def regions(k, r):
-            first, second, *rest = found(k, r)
+        def iter_regions(k, r, cap):
+            first, second, *rest = found(k, r, cap)
             changed = {"intervals": second.intervals, "bounded": not first.bounded}[field]
             return [replace(first, **{field: changed}), second, *rest]
 
-        monkeypatch.setattr(shi, "regions", regions)
+        monkeypatch.setattr(shi, "iter_regions", iter_regions)
         code, out, _ = run(capsys, "verify", "--suite", "shi")
         assert code == 5
         rows = passing.splitlines()[:-1]
@@ -374,13 +365,13 @@ class TestVerifyStreaming:
         # weakly increasing labels: each row fails with its text unchanged
         _, passing, _ = run(capsys, "verify", "--suite", "shi")
 
-        def mirrored(region, k):
-            label = [0] * k
-            for (i, j), c in zip(combinations(range(k), 2), region.intervals):
+        def mirrored(region):
+            label = [0] * len(region.witness)
+            for (i, j), c in zip(combinations(range(len(label)), 2), region.intervals):
                 label[j if c > 0 else i] += abs(c)
             return tuple(label)
 
-        monkeypatch.setattr(cli, "_pak_stanley_label", mirrored)
+        monkeypatch.setattr(shi, "label", mirrored)
         code, out, _ = run(capsys, "verify", "--suite", "shi")
         assert code == 5
         rows = passing.splitlines()[:-1]
@@ -388,13 +379,22 @@ class TestVerifyStreaming:
 
     def test_counts_stop_where_the_cap_refuses(self, capsys):
         # r=3, n=11 searches C(165,5) > core.DEFAULT_CAP edge sets, so the r=3
-        # rows end at n=10 and the suite still reaches its total line
+        # sizes end at n=10 and the suite still reaches its total line
         code, out, _ = run(capsys, "verify", "--suite", "counts", "--max-n", "11")
         lines = out.splitlines()
         assert code == 0 and lines[-1] == "total=21 failures=0"
         assert "PASS counts r=3 n=10 brute=0 formula=0" in lines
         assert not any(line.startswith("PASS counts r=3 n=11") for line in lines)
         assert "PASS counts r=4 n=11 brute=0 formula=0" in lines
+
+    def test_counts_sizes_are_fixed_past_the_cap(self, capsys):
+        # r=4, n=13 searches C(715,4) > core.DEFAULT_CAP edge sets: a larger
+        # --max-n adds no row past n=10 for r=3 and n=12 for r=4
+        code, out, _ = run(capsys, "verify", "--suite", "counts", "--max-n", "30")
+        lines = out.splitlines()
+        assert (code, len(lines), lines[-1]) == (0, 23, "total=22 failures=0")
+        assert sum(line.startswith("PASS counts r=3 ") for line in lines) == 10
+        assert lines[-2] == "PASS counts r=4 n=12 brute=0 formula=0"
 
 
 # (exit code, sha256 of stdout) of every subcommand in text and JSON mode and of

@@ -513,6 +513,10 @@ class TestMatchingType:
         (HyperTree, (3, 3, ((1, 2, 3, 4),)), "hyperedge (1, 2, 3, 4) has size 4, expected 3"),
         (HyperTree, (5, 3, ((0, 0, 6),)), "hyperedge (0, 0, 6) repeats a vertex"),
         (HyperTree, (5, 3, ((0, 2, 3),)), "vertex 0 outside [1, 5]"),
+        # vertex types are checked ahead of repeats: 2.0 and True are refused, not taken
+        # for 2 and 1
+        (HyperTree, (5, 3, ((1, 2, 2.0),)), "vertex 2.0 is not an integer"),
+        (HyperTree, (5, 3, ((1, 2, True),)), "vertex True is not an integer"),
         # member types are checked ahead of the partition: 2.0 is refused, not taken for 2
         (Matching, (2, ((1, 1),)), "blocks do not partition [1, 2]"),
         (Matching, (2, ((1, 2), (2, 3))), "blocks do not partition [1, 4]"),
@@ -520,7 +524,8 @@ class TestMatchingType:
         (Matching, (2, ((1, 2), (2.0, 3))), "block member 2.0 is not an integer"),
     ],
     ids=["tree-n0", "tree-r1", "matching-short-block", "matching-b0", "tree-long-edge",
-         "tree-repeat", "tree-vertex-0", "matching-repeat-in-block",
+         "tree-repeat", "tree-vertex-0", "tree-alias-float", "tree-alias-bool",
+         "matching-repeat-in-block",
          "matching-repeat-across-blocks", "matching-gap", "matching-alias"],
 )
 def test_construction_refusals(make, args, message):

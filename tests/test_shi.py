@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypertrees import shi
+from hypertrees import shi, verify
 from hypertrees.cli import main
 from hypertrees.core import ResourceCapError, ValidationError
 from hypertrees.parking import count_parking
@@ -490,3 +490,23 @@ def test_witness_output_golden(capsys, k, r, as_json):
     assert main(argv + ["--json"] * as_json) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == GOLDEN[k, r, as_json]
+
+
+class TestLabel:
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_counts_separating_hyperplanes(self, r):
+        # x_1 - x_2 in (c, c+1) lies c hyperplanes above the base region (0, 1)
+        # when c > 0 and -c below it when c < 0; the label takes the count at
+        # coordinate 1 or 2, which the mirrored labelling would swap
+        labels = [shi.label(reg) for reg in regions(2, r)]
+        assert labels == [(c, 0) for c in range(r, 0, -1)] + [(0, c) for c in range(r + 1)]
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_no_pair_at_m_0_and_1(self, r):
+        # R^0 and R^1 each have one region, bounded, with no interval to read
+        assert [shi.label(reg) for reg in regions(0, r)] == [()]
+        assert [shi.label(reg) for reg in regions(1, r)] == [(0,)]
+        rows = list(verify.check_shi([(0, r), (1, r)]))
+        assert rows == [
+            (True, f"shi-triangle k={k} r={r} regions=1 parking=1 trees=1") for k in (0, 1)
+        ]
