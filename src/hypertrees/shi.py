@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import chain, combinations
 from math import inf, lcm
 from numbers import Rational
@@ -121,9 +122,9 @@ def _witness(d: Bounds, coords: dict[int, Fraction]) -> tuple[Fraction, ...]:
     m = len(d)
     scale = 1 << max(m - 1, 0)
     point = [0] * m
-    for v in range(m - 1):
+    for v, anchors in enumerate(_anchors(m)):
         row, lo, hi = d[v], -inf, inf
-        for a in (*range(v), m - 1):
+        for a in anchors:
             x, y = point[a] - scale * d[a][v], point[a] + scale * row[a]
             lo, hi = x if x > lo else lo, y if y < hi else hi  # max(), min(): 1.7x the time
         if lo > -inf and hi < inf:
@@ -134,6 +135,12 @@ def _witness(d: Bounds, coords: dict[int, Fraction]) -> tuple[Fraction, ...]:
         if p not in coords:
             coords[p] = Fraction(p, scale)
     return tuple(map(coords.__getitem__, point))
+
+
+@cache
+def _anchors(m: int) -> tuple[tuple[int, ...], ...]:
+    """Per v < m - 1, the coordinates that ``_witness`` places before x_v."""
+    return tuple((*range(v), m - 1) for v in range(m - 1))
 
 
 def iter_regions(m: int, r: int, cap: int = DEFAULT_REGION_CAP) -> Iterator[Region]:
@@ -148,21 +155,27 @@ def iter_regions(m: int, r: int, cap: int = DEFAULT_REGION_CAP) -> Iterator[Regi
 
 def _search(m: int, r: int) -> Iterator[Region]:
     """``iter_regions`` after its checks.  A branch (cs, d), its intervals so far
-    and closed DBM, is a region once every pair has one; a stack holds them, as
-    C(m,2) nested generators pass the recursion limit at m = 46."""
+    and closed DBM, waits on a stack, as C(m,2) nested generators pass the
+    recursion limit at m = 46; the last pair's intervals are regions at once."""
     # interval c of a pair: its bounds on x_i - x_j and x_j - x_i
     ends = {c: (c + 1 if c < r else inf, -c if c > -r else inf) for c in range(-r, r + 1)}
     pairs = tuple(combinations(range(m), 2))
     coords: dict[int, Fraction] = {}
-    stack = [((), [[0 if a == b else inf for b in range(m)] for a in range(m)])]
+    d = [[0 if a == b else inf for b in range(m)] for a in range(m)]
+    if not pairs:  # m = 0, 1: the one region, bounded
+        yield Region(r, (), _witness(d, coords), True)
+        return
+    stack = [((), d)]
     while stack:
         cs, d = stack.pop()
-        if len(cs) == len(pairs):
-            yield Region(r, cs, _witness(d, coords), inf not in chain.from_iterable(d))
-        else:  # popped last, the top interval is entered first
-            i, j = pairs[len(cs)]
+        i, j = pairs[len(cs)]
+        if len(cs) + 1 < len(pairs):  # popped last, the top interval is entered first
             stack += [(cs + (c,), _tighten(d, i, j, *ends[c]))
                       for c in reversed(_intervals(d, i, j, r))]
+            continue
+        for c in _intervals(d, i, j, r):
+            leaf = _tighten(d, i, j, *ends[c])
+            yield Region(r, (*cs, c), _witness(leaf, coords), inf not in chain.from_iterable(leaf))
 
 
 def regions(m: int, r: int, cap: int = DEFAULT_REGION_CAP) -> list[Region]:
@@ -187,22 +200,34 @@ def label(region: Region) -> tuple[int, ...]:
     return tuple(out)
 
 
+_prepared: tuple = (None, 0, ())  # the last hyperplane tuple, its largest j and its (i-1, j-1, c)
+
+
 def witness_satisfies(region: Region, hyperplanes: tuple[Hyperplane, ...]) -> bool:
     """Strict check of a region's witness against its full sign vector, in
-    integers: x_i - x_j > c as D*x_i - D*x_j > D*c, D a common denominator."""
+    integers: x_i - x_j > c as D*x_i - D*x_j > D*c, D a common denominator.
+    The last tuple of hyperplanes is prepared once; any other sequence, every call."""
+    global _prepared
     if len(region.signs) != len(hyperplanes):
         raise ValidationError("sign vector length does not match arrangement")
+    key, m, rows = _prepared
+    if hyperplanes is not key:
+        rows = tuple([(h.i - 1, h.j - 1, h.c) for h in hyperplanes])
+        m = max([j + 1 for _, j, _ in rows], default=0)
+        if type(hyperplanes) is tuple:
+            _prepared = (hyperplanes, m, rows)
     w = region.witness
-    m = max([h.j for h in hyperplanes], default=min(len(w), 1))  # m = 0, 1: no hyperplane
+    m = m or min(len(w), 1)  # m = 0, 1: no hyperplane
     if len(w) != m:
         side = "fewer" if len(w) < m else "more"
         raise ValidationError(f"witness has {side} coordinates than the arrangement")
     if not all([type(x) is Fraction or isinstance(x, Rational) for x in w]):
         raise ValidationError("witness entries must be rational")
-    den = lcm(*[x.denominator for x in w])
-    scaled = [x.numerator * (den // x.denominator) for x in w]
-    for s, h in zip(region.signs, hyperplanes):
-        diff, c = scaled[h.i - 1] - scaled[h.j - 1], h.c * den
+    ratios = [(x.numerator, x.denominator) for x in w]
+    den = lcm(*[q for _, q in ratios])
+    scaled = [p * (den // q) for p, q in ratios]
+    for s, (i, j, c) in zip(region.signs, rows):
+        diff, c = scaled[i] - scaled[j], c * den
         if not (diff > c if s == 1 else diff < c):
             return False
     return True

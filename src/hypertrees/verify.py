@@ -7,6 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import factorial
+from operator import mul
 from typing import Iterable, Iterator
 
 from . import bijection, core, egf, parking, prufer, shi
@@ -84,18 +85,19 @@ def check_egf(sizes: tuple[Iterable, Iterable, Iterable]) -> Iterator[tuple[bool
 def check_shi(sizes: Iterable[tuple[int, int]]) -> Iterator[tuple[bool, str]]:
     """Streams the regions: each witness, and each label an r-parking function that is
     prime (sorted, b_i <= r*i - 1 for i >= 1) exactly when its region is bounded, weakly
-    decreasing exactly when it is dominant (every c >= 0), and read back from its tree.
+    decreasing exactly when it is dominant (every c >= 0), read back from its tree, and new:
+    its byte in the box {0..r(k-1)}^k, at the label read in base r(k-1)+1, not yet set.
     Distinct, the labels are then every r-parking function, on as many distinct trees."""
     for k, r in sizes:
         hyperplanes = shi.build_arrangement(k, r)
         n_parking = parking.count_parking(k, r)
         n_trees = prufer.count_trees_for_matching(r * k + 1, r + 1)
-        labels: set[tuple[int, ...]] = set()
+        base = r * max(k - 1, 0) + 1
+        seen, weights = bytearray(base**k), [base**e for e in reversed(range(k))]
         n_regions = n_bounded = 0
         ok = True
         for reg in shi.iter_regions(k, r, cap=n_parking):
             a = shi.label(reg)
-            labels.add(a)
             n_regions += 1
             n_bounded += reg.bounded
             ok = ok and (
@@ -105,9 +107,13 @@ def check_shi(sizes: Iterable[tuple[int, int]]) -> Iterator[tuple[bool, str]]:
                 and all(c >= 0 for c in reg.intervals) == all(x >= y for x, y in zip(a, a[1:]))
                 and bijection.tree_to_parking(bijection.parking_to_tree(a, r)) == a
             )
+            if ok:  # a is r-parking, so in the box: a repeat finds its byte set
+                rank = sum(map(mul, a, weights))
+                ok = not seen[rank]
+                seen[rank] = 1
         yield (  # |chi(1)| = (rk-1)^(k-1) bounded regions; the one region of R^0 is bounded
             ok and n_bounded == (r * k - 1) ** max(k - 1, 0)
-            and len(labels) == n_regions == n_parking == n_trees,
+            and n_regions == n_parking == n_trees,
             f"shi-triangle k={k} r={r} regions={n_regions} parking={n_parking} trees={n_trees}",
         )
 

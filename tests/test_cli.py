@@ -359,6 +359,27 @@ class TestVerifyStreaming:
         assert out.splitlines() == [f"FAIL{row[4:]}" for row in rows] + ["total=8 failures=8"]
         assert all(row.startswith("PASS shi-triangle") for row in rows)
 
+    def test_a_repeated_label_fails_its_row(self, capsys, monkeypatch):
+        # the region after the top one (every interval r but the last pair's, r - 1) takes
+        # the top region's label: for k >= 3 both are unbounded and dominant, and that label
+        # is r-parking and comes back from its tree, so only distinctness fails the k >= 3
+        # rows, each with its text unchanged
+        _, passing, _ = run(capsys, "verify", "--suite", "shi")
+        label = shi.label
+
+        def shared(region):
+            cs, r = region.intervals, region.r
+            if len(cs) >= 3 and cs == (r,) * (len(cs) - 1) + (r - 1,):
+                return label(replace(region, intervals=(r,) * len(cs)))
+            return label(region)
+
+        monkeypatch.setattr(shi, "label", shared)
+        code, out, _ = run(capsys, "verify", "--suite", "shi")
+        assert code == 5
+        rows = passing.splitlines()[:-1]
+        expected = [row if " k=2 " in row else f"FAIL{row[4:]}" for row in rows]
+        assert out.splitlines() == expected + ["total=8 failures=5"]
+
     def test_mirrored_labelling_fails_every_row(self, capsys, monkeypatch):
         # c > 0 adding to label j keeps the labels distinct r-parking functions
         # and their trees distinct, but the dominant chamber then carries

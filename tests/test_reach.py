@@ -12,11 +12,12 @@ from hypertrees import verify
 pytestmark = pytest.mark.reach
 
 
-# time budgets: (5,3) 20 s, (6,2) 90 s, (7,1) 60 s; measured 5.8 s, 29.4 s and 22.0 s, at a peak
-# RSS of 23, 69 and 48 MB: the check keeps every label of a row
+# time budgets: (5,3) 20 s, (6,2) 110 s, (7,1) 70 s; measured 5.4-5.8 s, 35.6-37.1 s and
+# 22.1-24.4 s, at a peak RSS of 16, 18 and 17 MB: the labels' distinctness takes one byte per
+# point of the box {0..r(k-1)}^k, 13^5, 11^6 and 7^7 bytes
 @pytest.mark.parametrize("m,r", [(5, 3), (6, 2), (7, 1)])
 def test_shi_triangle_streamed(m, r):
     # 65,536, 371,293 and 262,144 regions: the verify shi check streams them, keeping
-    # only their labels, and checks each witness, label, bounded flag and tree
+    # no label, and checks each witness, label, bounded flag and tree
     [(ok, text)] = verify.check_shi([(m, r)])
     assert ok, text

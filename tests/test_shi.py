@@ -1,10 +1,14 @@
 import copy
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, inf
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -345,6 +349,70 @@ class TestWitnessSatisfies:
         inside = Region(1, (1, 1, 1), (3, Fraction(5, 3), Fraction(1, 2)), False)
         assert witness_satisfies(inside, hps)
         assert not witness_satisfies(replace(inside, intervals=(1, 1, 0)), hps)
+
+
+class TestWitnessSatisfiesCache:
+    """``witness_satisfies`` prepares the last hyperplane tuple it was given, keyed by
+    its identity; each case fails on some wrong cache."""
+
+    def test_first_call_of_a_fresh_interpreter(self):
+        # build_arrangement(0 | 1, r) returns the empty tuple singleton, so a cache that
+        # starts out holding () would count it as prepared before any call
+        code = (
+            "from fractions import Fraction\n"
+            "from hypertrees.shi import Region, build_arrangement, witness_satisfies\n"
+            "region = Region(1, (), (Fraction(0),), True)\n"
+            "print(witness_satisfies(region, build_arrangement(1, 1)))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"True\n", b"")
+
+    def test_alternating_arrangements(self):
+        # (3,1) and (2,3) both have 6 hyperplanes, and a reversed tuple has the same m but
+        # another order: each call is checked as a fresh list of its tuple would be
+        hps = build_arrangement(3, 2)
+        cases = [
+            (regions(3, 1) + regions(2, 3), (build_arrangement(3, 1), build_arrangement(2, 3))),
+            (regions(3, 2), (hps, hps[::-1])),
+        ]
+        results = []
+        for found, arrangements in cases:
+            for reg, hyperplanes in product(found, arrangements):
+                got = outcome(witness_satisfies, reg, hyperplanes)
+                assert got == outcome(witness_satisfies, reg, list(hyperplanes))
+                results.append(got)
+        assert {True, False} <= set(results)
+        assert (ValidationError, "witness has more coordinates than the arrangement") in results
+
+    def test_a_list_is_read_afresh(self):
+        # x_1 - x_2 = 2 lies above x_1 - x_2 = 0 and 1, below 3, and x_3 is missing
+        hps = list(build_arrangement(2, 1))
+        region = Region(1, (1,), (Fraction(2), Fraction(0)), False)
+        assert witness_satisfies(region, hps)
+        hps[1] = Hyperplane(1, 2, 3)
+        assert not witness_satisfies(region, hps)
+        hps[1] = Hyperplane(1, 3, 0)
+        assert outcome(witness_satisfies, region, hps) == (
+            ValidationError, "witness has fewer coordinates than the arrangement"
+        )
+
+    def test_refusals_after_a_cached_call(self):
+        hps = build_arrangement(3, 1)
+        first = regions(3, 1)[0]
+        w = first.witness
+        refused = {
+            "sign vector length does not match arrangement": Region(2, (0, 0, 0), w, True),
+            "witness has fewer coordinates than the arrangement": replace(first, witness=w[:2]),
+            "witness has more coordinates than the arrangement": replace(first, witness=(*w, 0)),
+            "witness entries must be rational": replace(first, witness=(1.5, 0, 0)),
+        }
+        for message, region in refused.items():
+            assert witness_satisfies(first, hps)
+            assert outcome(witness_satisfies, region, hps) == (ValidationError, message)
+        assert witness_satisfies(first, hps)
 
 
 def interval(c, r):
